@@ -6,9 +6,9 @@ arithmetic circuits with division elimination, and the classical
 linear-algebra-method bounds from extremal combinatorics.
 """
 
-from .errors import (CapExceeded, DimensionMismatch, DivisionByZero,
-                     ExactLAError, IndexOutOfRange, InvalidInput,
-                     MalformedInput, NonSquare, NotLIntersecting,
+from .errors import (CapExceeded, CertificateFailed, DimensionMismatch,
+                     DivisionByZero, ExactLAError, IndexOutOfRange,
+                     InvalidInput, MalformedInput, NonSquare, NotLIntersecting,
                      PreconditionViolated, ScaleExceeded, SingularMatrix,
                      SizeExceeded, SystemUnsolvable, Unsolvable,
                      ZeroDenominator, ZeroMatrix)

@@ -33,6 +33,10 @@ class InvalidInput(ExactLAError, ValueError):
     pass
 
 
+class CertificateFailed(ExactLAError):
+    """A result failed a check that holds for every correct computation."""
+
+
 class ZeroDenominator(ExactLAError, ZeroDivisionError):
     pass
 

@@ -47,7 +47,10 @@ class Matrix:
 
     @classmethod
     def from_ints(cls, field, rows):
-        return cls(field, [[field.from_int(x) for x in r] for r in rows])
+        # equal integers share one (immutable) field element: a small-entry
+        # matrix over Q then holds a handful of Fractions, not one per entry
+        elems = {x: field.from_int(x) for r in rows for x in r}
+        return cls(field, [[elems[x] for x in r] for r in rows])
 
     # shape / access
 

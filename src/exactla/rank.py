@@ -19,6 +19,16 @@ Two execution paths compute identical answers:
     step is one numeric matmul plus row shifts on coefficient arrays
     (numpy int64 mod p, or object arrays of Python ints for Q after clearing
     denominators with an exact rescale).
+
+The fast kernel stores each X-polynomial trimmed, as (offset, array) with
+nonzero end coefficients, or None for zero, and each vector of them as its
+possibly nonzero rows over one X-span.  B is bipartite, so half of every
+Berkowitz vector and first column is zero, and low X-degrees start out
+empty: the Toeplitz combine convolves only pairs of nonzero operands, and
+the first-column matvecs multiply only the rows a vector occupies and the
+rows of B they reach.  solvable and solve share one Horner helper for
+p~(C) applied to chi * [b;0], whose row i is the monomial b_i X^i, so each
+scalar-times-vector step is a shift and scale.
 """
 
 from fractions import Fraction
@@ -26,8 +36,8 @@ from math import lcm
 
 import numpy as np
 
-from .errors import (DimensionMismatch, IndexOutOfRange, InvalidInput,
-                     Unsolvable, ZeroMatrix)
+from .errors import (CertificateFailed, DimensionMismatch, IndexOutOfRange,
+                     InvalidInput, Unsolvable, ZeroMatrix)
 from .field import PrimeField, Rationals
 from .matrix import Matrix, mat_vec
 from .poly import Polynomial
@@ -146,15 +156,23 @@ class MinorSelection:
 
 
 # ---------------------------------------------------------------------------
-# fast numeric kernel (private): matrices diag(X^degs) * B with B numeric
+# fast numeric kernel (private): matrices diag(X^0..X^(N-1)) * B with B numeric
+#
+# An X-polynomial is a trimmed pair (offset, a) meaning sum_k a[k] X^(offset+k)
+# with a[0] and a[-1] nonzero, or None for zero.  A vector of X-polynomials is
+# a triple (rows, lo, W) or None: rows are the indices of its possibly
+# nonzero entries, and entry rows[k] is sum_j W[k, j] X^(lo+j).
 
 class _Num:
     """Coefficient arithmetic on 1-D/2-D numpy arrays: plain Python ints
-    (object dtype) or residues mod p (int64 when products cannot overflow)."""
+    (object dtype) or residues mod p (int64 when no sum can overflow)."""
 
-    def __init__(self, p=None):
+    def __init__(self, p, N):
         self.p = p
-        if p is not None and p * p * 8192 < 2 ** 62:
+        # each entry is a sum of at most N products (matvec) or of at most
+        # N(N-1)/2 + 1 products (convolution with a charpoly coefficient, whose
+        # X-degree is at most N(N-1)/2), each product below (p-1)^2
+        if p is not None and (p - 1) ** 2 * max(N, N * (N - 1) // 2 + 1) < 2 ** 63:
             self.dtype = np.int64
         else:
             self.dtype = object
@@ -162,102 +180,136 @@ class _Num:
     def red(self, a):
         return a if self.p is None else a % self.p
 
-    def arr1(self, values):
-        return self.red(np.array([int(x) for x in values], dtype=self.dtype))
-
     def zeros(self, shape):
         return np.zeros(shape, dtype=self.dtype)
 
     def matmul(self, A, w):
         return self.red(A.dot(w))
 
-    def conv(self, a, b):
-        return self.red(np.convolve(a, b))
 
-    def is_zero(self, a):
-        return not np.any(self.red(a))
-
-    def monomial(self, coeff, deg):
-        a = self.zeros(deg + 1)
-        a[deg] = int(coeff)
-        return self.red(a)
+def _trim(off, a):
+    """The trimmed pair for sum_k a[k] X^(off+k), or None if a is zero."""
+    nz = a.nonzero()[0]
+    if not len(nz):
+        return None
+    return off + int(nz[0]), a[nz[0]:nz[-1] + 1]
 
 
-def _padd(num, a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = np.array(a, dtype=num.dtype, copy=True)
-    out[:len(b)] = out[:len(b)] + b
-    return num.red(out)
+def _pmul(num, x, y):
+    """Product of two nonzero trimmed X-polynomials, itself trimmed (the
+    coefficient rings are integral domains); a monomial factor is a
+    shift-and-scale instead of a convolution."""
+    (ox, a), (oy, b) = x, y
+    if len(a) == 1 or len(b) == 1:
+        return ox + oy, num.red(a * b)
+    return ox + oy, num.red(np.convolve(a, b))
 
 
-def _matvec(num, B, degs, w):
-    """(diag(X^degs) * B) applied to a coefficient-array vector w (L x W)."""
-    u = num.matmul(B, w)
-    maxd = max(degs)
-    out = num.zeros((u.shape[0], u.shape[1] + maxd))
-    for i, d in enumerate(degs):
-        out[i, d:d + u.shape[1]] = u[i]
-    return out
+def _psum(num, terms):
+    """Sum of trimmed X-polynomials."""
+    if len(terms) <= 1:
+        return terms[0] if terms else None
+    lo = min(o for o, _ in terms)
+    acc = num.zeros(max(o + len(a) for o, a in terms) - lo)
+    for o, a in terms:
+        acc[o - lo:o - lo + len(a)] += a
+    return _trim(lo, num.red(acc))
 
 
-def _scalar_vec(num, t, w):
-    """Scalar X-polynomial t times each row of the vector w."""
-    out = num.zeros((w.shape[0], w.shape[1] + len(t) - 1))
-    for i in range(w.shape[0]):
-        out[i] = num.conv(t, w[i])
-    return out
+def _stagger(num, rows, lo, U):
+    """The vector whose entry rows[k] is X^(lo + rows[k]) * U[k]."""
+    r0 = int(rows[0])
+    shift = (rows - r0).tolist()
+    W = num.zeros((len(rows), U.shape[1] + shift[-1]))
+    for k, s in enumerate(shift):
+        W[k, s:s + U.shape[1]] = U[k]
+    return rows, lo + r0, W
 
 
-def _fast_first_column(num, B, degs, k0):
-    """First column of Col(k0+1, diag*B): Y-coefficients as X-arrays."""
+def _matvec(num, B, base, vec):
+    """diag(X^(base+i)) * B applied to a vector: only its rows and the rows
+    of B they reach are multiplied."""
+    rows, lo, W = vec
+    sub = B[:, rows]
+    reach = sub.any(axis=1).nonzero()[0]
+    if not len(reach):
+        return None
+    return _stagger(num, reach, lo + base, num.matmul(sub[reach], W))
+
+
+def _vadd(num, x, y):
+    """Sum of two vectors."""
+    # a set union: np.union1d would import numpy.ma, several MB of RSS
+    rows = np.array(sorted({*x[0].tolist(), *y[0].tolist()}), dtype=np.intp)
+    lo = min(x[1], y[1])
+    W = num.zeros((len(rows), max(x[1] + x[2].shape[1], y[1] + y[2].shape[1]) - lo))
+    for r, l, U in (x, y):
+        W[np.searchsorted(rows, r), l - lo:l - lo + U.shape[1]] += U
+    return rows, lo, num.red(W)
+
+
+def _fast_first_column(num, B, k0):
+    """First column of Col(k0+1, diag*B): Y-coefficients as trimmed
+    X-polynomials [1, -X^k0 a, -X^k0 R S, -X^k0 R M S, ...], with a, R, S, M
+    the corner, row border, column border and trailing block of B at k0 and
+    M scaled by diag(X^(k0+1)..X^(N-1))."""
     N = B.shape[0]
-    col = [num.arr1([1]), -num.monomial(B[k0, k0], degs[k0])]
-    if k0 == N - 1:
-        return col
-    Bt = B[k0 + 1:, k0 + 1:]
-    R = B[k0, k0 + 1:]
-    sub_degs = degs[k0 + 1:]
-    L = N - 1 - k0
-    w = num.zeros((L, max(sub_degs) + 1))
-    for i in range(L):
-        w[i, sub_degs[i]] = int(B[k0 + 1 + i, k0])
-    w = num.red(w)
-    for t in range(L):
-        val = num.matmul(R, w)  # 1-D array of X-coefficients
-        entry = num.zeros(len(val) + degs[k0])
-        entry[degs[k0]:] = val
-        col.append(-num.red(entry))
-        if t < L - 1:
-            w = _matvec(num, Bt, sub_degs, w)
+    col = [(0, np.ones(1, dtype=num.dtype)), _trim(k0, num.red(-B[k0, k0:k0 + 1]))]
+    R, S, M = B[k0, k0 + 1:], B[k0 + 1:, k0], B[k0 + 1:, k0 + 1:]
+    rows = S.nonzero()[0]
+    w = _stagger(num, rows, k0 + 1, S[rows, None]) if len(rows) else None
+    for t in range(N - 1 - k0):
+        if w is None:
+            col.append(None)
+            continue
+        rows, lo, W = w
+        col.append(_trim(k0 + lo, num.red(-num.matmul(R[rows], W))))
+        if t < N - 2 - k0:
+            w = _matvec(num, M, k0 + 1, w)
     return col
 
 
-def _fast_charpoly(num, B, degs):
-    """Leading-first Y-coefficients (as X-coefficient arrays) of the
-    characteristic polynomial of diag(X^degs) * B."""
+def _fast_charpoly(num, B):
+    """Leading-first Y-coefficients (as trimmed X-polynomials) of the
+    characteristic polynomial of diag(X^0..X^(N-1)) * B.  Each Berkowitz
+    step multiplies by a lower-triangular Toeplitz matrix with first column
+    c; only pairs of nonzero operands are convolved."""
     N = B.shape[0]
-    v = _fast_first_column(num, B, degs, N - 1)
+    v = _fast_first_column(num, B, N - 1)
     for k0 in range(N - 2, -1, -1):
-        c = _fast_first_column(num, B, degs, k0)
-        out_len = N - k0 + 1
-        out = []
-        for i in range(out_len):
-            acc = None
-            for j in range(max(0, i - len(c) + 1), min(i, len(v) - 1) + 1):
-                term = num.conv(c[i - j], v[j])
-                acc = term if acc is None else _padd(num, acc, term)
-            out.append(acc if acc is not None else num.arr1([0]))
-        v = out
+        c = _fast_first_column(num, B, k0)
+        nz = [a for a, x in enumerate(c) if x is not None]
+        v = [_psum(num, [_pmul(num, c[a], v[i - a]) for a in nz
+                         if a <= i < a + len(v) and v[i - a] is not None])
+             for i in range(len(c))]
     return v
 
 
-def _mul_of(num, ch):
+def _mul_of(ch):
     """Multiplicity of the root 0: trailing all-zero Y-coefficients."""
     mul = 0
-    while mul < len(ch) and num.is_zero(ch[len(ch) - 1 - mul]):
+    while mul < len(ch) and ch[len(ch) - 1 - mul] is None:
         mul += 1
     return mul
+
+
+def _horner(num, B, ch, mul, b_ints, last):
+    """sum_{j=last}^{N-mul} t_(j+mul) C^(j-last) w0 by Horner, where
+    C = diag(X^0..X^(N-1)) * B, t_k = ch[N-k] and w0 = chi_N * [b; 0].
+    Row i of w0 is the monomial b_i X^i, so t * w0 is t shifted and scaled
+    row by row.  Returns a vector in the kernel's (rows, lo, W) form."""
+    N = B.shape[0]
+    brows = np.array([i for i, x in enumerate(b_ints) if x], dtype=np.intp)
+    bvals = np.array([b_ints[i] for i in brows], dtype=num.dtype)
+    acc = None
+    for j in range(N - mul, last - 1, -1):
+        if acc is not None:
+            acc = _matvec(num, B, 0, acc)
+        t = ch[N - (j + mul)]
+        if t is not None and len(brows):
+            term = _stagger(num, brows, t[0], num.red(np.multiply.outer(bvals, t[1])))
+            acc = term if acc is None else _vadd(num, acc, term)
+    return acc
 
 
 def _fast_supported(field):
@@ -273,31 +325,21 @@ def _clear_ints(field, elems):
 
 
 def _sym_parts(field, A, b=None):
-    """Numeric kernel data for polize(A): (num, B, degs, scale, b_ints, b_scale)."""
+    """Numeric kernel data for polize(A): (num, B, scale, b_ints, b_scale)."""
     m, n = A.m, A.n
     N = m + n
     ints, scale = _clear_ints(field, [e for r in A.rows for e in r])
-    num = _Num(field.p if isinstance(field, PrimeField) else None)
+    num = _Num(field.p if isinstance(field, PrimeField) else None, N)
     B = num.zeros((N, N))
     for i in range(m):
         for j in range(n):
             B[i, m + j] = ints[i * n + j]
             B[m + j, i] = ints[i * n + j]
     B = num.red(B)
-    degs = list(range(N))
     if b is None:
-        return num, B, degs, scale, None, None
+        return num, B, scale, None, None
     b_ints, b_scale = _clear_ints(field, list(b))
-    return num, B, degs, scale, b_ints, b_scale
-
-
-def _chi_b_vector(num, b_ints, N):
-    """chi_N * [b; 0] as a coefficient-array vector: row i holds b_i X^i."""
-    m = len(b_ints)
-    w = num.zeros((N, max(m, 1)))
-    for i in range(m):
-        w[i, i] = b_ints[i]
-    return num.red(w)
+    return num, B, scale, b_ints, b_scale
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +355,12 @@ def mulmuley_rank(A, method="auto"):
             mul += 1
         report_poly = Polynomial(fx, list(reversed(ch)))
     else:
-        num, B, degs, scale, _, _ = _sym_parts(field, A)
-        ch = _fast_charpoly(num, B, degs)
-        mul = _mul_of(num, ch)
-        report_poly = _report_polynomial(field, num, ch, scale)
+        num, B, scale, _, _ = _sym_parts(field, A)
+        ch = _fast_charpoly(num, B)
+        mul = _mul_of(ch)
+        report_poly = _report_polynomial(field, ch, scale)
     if (N - mul) % 2:
-        raise InvalidInput("odd rank numerator; characteristic polynomial is corrupt")
+        raise CertificateFailed("odd rank numerator; characteristic polynomial is corrupt")
     return RankReport(A.m, A.n, report_poly, mul, (N - mul) // 2)
 
 
@@ -333,19 +375,19 @@ def _generic_polize_charpoly(A):
     return fx, list(ch)
 
 
-def _report_polynomial(field, num, ch, scale):
+def _report_polynomial(field, ch, scale):
     """Exact charpoly of polize(A) over F(X) from the (possibly scaled)
-    integer coefficient arrays: t_i(cC) = c^(N-i) t_i(C)."""
+    integer coefficients: t_i(cC) = c^(N-i) t_i(C)."""
     fx = RationalFunctionField(field)
     N = len(ch) - 1
     coeffs = []  # constant-first in Y
     for i in range(N + 1):
-        arr = ch[N - i]
+        off, arr = ch[N - i] or (0, ())
         if scale == 1:
             vals = [field.from_int(int(c)) for c in arr]
         else:
             vals = [Fraction(int(c), scale ** (N - i)) for c in arr]
-        coeffs.append(fx.from_poly(Polynomial(field, vals)))
+        coeffs.append(fx.from_poly(Polynomial(field, [field.zero()] * off + vals)))
     return Polynomial(fx, coeffs)
 
 
@@ -363,24 +405,10 @@ def solvable(A, b, method="auto"):
         raise DimensionMismatch(f"right-hand side length {len(b)} vs {A.m} rows")
     field = A.field
     if method != "generic" and _fast_supported(field):
-        num, B, degs, _, b_ints, _ = _sym_parts(field, A, b)
-        N = A.m + A.n
-        ch = _fast_charpoly(num, B, degs)
-        mul = _mul_of(num, ch)
-        w0 = _chi_b_vector(num, b_ints, N)
-        acc = None
-        for j in range(N - mul, -1, -1):
-            term = _scalar_vec(num, ch[N - (j + mul)], w0)
-            if acc is None:
-                acc = term
-            else:
-                acc = _matvec(num, B, degs, acc)
-                h = max(acc.shape[1], term.shape[1])
-                padded = num.zeros((N, h))
-                padded[:, :acc.shape[1]] = acc
-                padded[:, :term.shape[1]] += term
-                acc = num.red(padded)
-        return num.is_zero(acc)
+        num, B, _, b_ints, _ = _sym_parts(field, A, b)
+        ch = _fast_charpoly(num, B)
+        acc = _horner(num, B, ch, _mul_of(ch), b_ints, 0)
+        return acc is None or not acc[2].any()
     return _generic_solvable(A, b)
 
 
@@ -433,31 +461,18 @@ def solve(A, b, method="auto"):
     m, n = A.m, A.n
     N = m + n
     if method != "generic" and _fast_supported(field):
-        num, B, degs, scale, b_ints, b_scale = _sym_parts(field, A, b)
-        ch = _fast_charpoly(num, B, degs)
-        mul = _mul_of(num, ch)
-        w0 = _chi_b_vector(num, b_ints, N)
-        # Horner for S = sum_{j>=1} t_{j+mul} C^(j-1) applied to w0; v = -S w0
-        acc = None
-        for j in range(N - mul, 0, -1):
-            term = _scalar_vec(num, ch[N - (j + mul)], w0)
-            if acc is None:
-                acc = term
-            else:
-                acc = _matvec(num, B, degs, acc)
-                h = max(acc.shape[1], term.shape[1])
-                padded = num.zeros((N, h))
-                padded[:, :acc.shape[1]] = acc
-                padded[:, :term.shape[1]] += term
-                acc = num.red(padded)
-        t0 = num.red(ch[N - mul])  # the scalar p~(0) as an X-array
-        s = 0
-        while s < len(t0) and not t0[s]:
-            s += 1
-        tau_hat = int(t0[s])
+        num, B, scale, b_ints, b_scale = _sym_parts(field, A, b)
+        ch = _fast_charpoly(num, B)
+        mul = _mul_of(ch)
+        # S = sum_{j>=1} t_{j+mul} C^(j-1) w0, so v = -S w0
+        acc = _horner(num, B, ch, mul, b_ints, 1)
+        s, t0 = ch[N - mul]  # p~(0) = tau_hat X^s + higher terms
+        tau_hat = int(t0[0])
         vs = [0] * N
-        if acc is not None and s < acc.shape[1]:
-            vs = [int(acc[i, s]) for i in range(N)]
+        if acc is not None and acc[1] <= s < acc[1] + acc[2].shape[1]:
+            rows, lo, W = acc
+            for k, i in enumerate(rows):
+                vs[i] = int(W[k, s - lo])
         if isinstance(field, PrimeField):
             tau_inv = field.inv(tau_hat)
             x = [field.mul(field.neg(vs[m + i] % field.p), tau_inv) for i in range(n)]

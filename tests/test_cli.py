@@ -1,5 +1,7 @@
+import importlib
 import json
 
+import numpy as np
 import pytest
 
 from exactla.cli import (format_entry, format_matrix, parse_entry,
@@ -98,6 +100,19 @@ def test_exit_code_checked_failure(tmp_path, capsys):
     A = _write(tmp_path, "A.txt", "2 2\n1 0\n0 0\n")
     b = _write(tmp_path, "b.txt", "2\n0 1\n")
     assert run(["solve", A, b]) == 1
+
+
+def test_exit_code_corrupt_kernel(tmp_path, capsys, monkeypatch):
+    # a charpoly whose root-0 multiplicity leaves an odd rank numerator is a
+    # failed certificate (exit 1), not malformed input (exit 2)
+    kernel = importlib.import_module("exactla.rank")  # the package re-exports rank()
+    one = (0, np.ones(1, dtype=object))
+    monkeypatch.setattr(kernel, "_fast_charpoly",
+                        lambda num, B: [one] * B.shape[0] + [None])
+    A = _write(tmp_path, "A.txt", "1 1\n1\n")
+    assert run(["rank", A]) == 1
+    err = capsys.readouterr().err
+    assert "CertificateFailed" in err and "odd rank numerator" in err
 
 
 def test_exit_code_malformed(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from exactla.errors import DivisionByZero, InvalidInput
 from exactla.field import GF2, GF3, QQ, PrimeField, Rationals
+from exactla.matrix import Matrix
 from exactla.rng import SplitMix64
 
 GF5 = PrimeField(5)
@@ -65,6 +66,12 @@ def test_from_int_and_char():
     assert GF3.is_zero(GF3.from_int(6))
     assert GF3.eq(GF3.from_int(-1), 2)
     assert QQ.from_int(-7) == Fraction(-7)
+
+
+def test_matrix_from_ints_shares_equal_entries():
+    A = Matrix.from_ints(QQ, [[2, -1], [-1, 2]])
+    assert A.rows == ((2, -1), (-1, 2))
+    assert A.rows[0][0] is A.rows[1][1] and A.rows[0][1] is A.rows[1][0]
 
 
 def test_prime_modulus_checked():

@@ -4,7 +4,7 @@ import pytest
 
 from exactla import oracles
 from exactla.errors import Unsolvable, ZeroMatrix
-from exactla.field import GF2, GF3, QQ
+from exactla.field import GF2, GF3, QQ, PrimeField
 from exactla.matrix import Matrix, mat_vec
 from exactla.poly import Polynomial
 from exactla.rank import (chi_matrix, count_nonzero, decompose, greedy_basis,
@@ -14,6 +14,7 @@ from exactla.ratfunc import RationalFunctionField
 from exactla.rng import SplitMix64
 
 FIELDS = (QQ, GF2, GF3)
+GFP = PrimeField(1000003)
 
 
 def M(rows):
@@ -96,16 +97,24 @@ def test_rank_small_cases():
 
 
 def test_rank_methods_agree():
-    rng = SplitMix64(43)
-    for _ in range(60):
-        field = FIELDS[rng.below(3)]
-        A = _rand(rng, field, rng.randint(1, 4), rng.randint(1, 4))
+    def check(A):
         fast = mulmuley_rank(A, method="fast")
         generic = mulmuley_rank(A, method="generic")
         assert fast.rank == generic.rank == oracles.gauss_rank(A)
         assert fast.mul == generic.mul
         assert fast.charpoly_of_polize == generic.charpoly_of_polize
         assert rank(A) == rank(A.transpose())
+
+    rng = SplitMix64(43)
+    for _ in range(60):
+        field = FIELDS[rng.below(3)]
+        check(_rand(rng, field, rng.randint(1, 4), rng.randint(1, 4)))
+    for _ in range(20):
+        check(_rand(rng, GFP, rng.randint(1, 4), rng.randint(1, 4)))
+    for field in FIELDS + (GFP,):
+        for k in (2, 5):
+            check(_rand(rng, field, 1, k))
+            check(_rand(rng, field, k, 1))
 
 
 def test_rank_subadditive():
