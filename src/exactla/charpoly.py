@@ -16,7 +16,7 @@ coefficient.
 
 from .errors import IndexOutOfRange, NonSquare, SingularMatrix
 from .matrix import Matrix
-from .poly import Polynomial
+from .poly import Polynomial, subst
 
 
 class CharPoly:
@@ -40,6 +40,13 @@ class CharPoly:
     def coeff_of(self, i):
         """Coefficient of Y^i."""
         return self.coeffs[self.n - i]
+
+    def root0_mul(self):
+        """Multiplicity of the root 0: the number of vanishing low coefficients."""
+        mul = 0
+        while mul <= self.n and self.field.is_zero(self.coeff_of(mul)):
+            mul += 1
+        return mul
 
     def __repr__(self):
         body = " ".join(self.field.format(c) for c in self.coeffs)
@@ -112,17 +119,10 @@ def adjugate(A, ch=None):
     """
     if not A.is_square():
         raise NonSquare("adjugate needs a square matrix")
-    F = A.field
-    n = A.n
     if ch is None:
         ch = charpoly(A)
-    ident = Matrix.identity(F, n)
-    S = ident
-    for i in range(n - 1, 0, -1):
-        S = (S @ A) + ident.scale(ch.coeff_of(i))
-    if n % 2 == 0:
-        S = -S
-    return S
+    S = subst(Polynomial(A.field, ch.constant_first()[1:]), A)
+    return -S if A.n % 2 == 0 else S
 
 
 def inverse(A):
@@ -146,20 +146,11 @@ def quasi_inverse(A):
     """
     if not A.is_square():
         raise NonSquare("quasi-inverse needs a square matrix")
-    F = A.field
     ch = charpoly(A)
-    coeffs = list(ch.coeffs)  # leading first
-    m = 0
-    while m <= A.n and F.is_zero(coeffs[A.n - m]):
-        m += 1
+    m = ch.root0_mul()
     if m == 0:
         return adjugate(A, ch)
-    ft = Polynomial(F, list(reversed(coeffs[:A.n - m + 1])))
-    # Horner for ft(A)
-    ident = Matrix.identity(F, A.n)
-    B = Matrix.zeros(F, A.n, A.n)
-    for c in ft.coeffs[::-1]:
-        B = (B @ A) + ident.scale(c)
+    B = subst(Polynomial(A.field, ch.constant_first()[m:]), A)  # ft(A)
     while not (A @ B).is_zero():
         B = A @ B
     return B

@@ -194,13 +194,21 @@ def _tokenize(text):
 
 
 def parse_sexpr(text):
+    """Parse one s-expression without recursion, so nesting depth is bounded
+    only by memory: binary forms wait on a stack for their arguments."""
     tokens = _tokenize(text)
     if not tokens:
         raise MalformedInput("empty circuit expression")
     pos = 0
+    pending = []  # [head, left argument or None] of the open binary forms
 
-    def parse():
+    def close(head):
         nonlocal pos
+        if pos >= len(tokens) or tokens[pos] != ")":
+            raise MalformedInput(f"missing ')' in {head} form")
+        pos += 1
+
+    while True:
         if pos >= len(tokens):
             raise MalformedInput("unexpected end of circuit expression")
         if tokens[pos] != "(":
@@ -210,6 +218,9 @@ def parse_sexpr(text):
             raise MalformedInput("unexpected end after '('")
         head = tokens[pos]
         pos += 1
+        if head in (ADD, MUL, DIV):
+            pending.append([head, None])
+            continue
         if head == CONST:
             if pos >= len(tokens):
                 raise MalformedInput("missing constant value")
@@ -224,18 +235,17 @@ def parse_sexpr(text):
                 raise MalformedInput("missing variable name")
             node = var(tokens[pos])
             pos += 1
-        elif head in (ADD, MUL, DIV):
-            left = parse()
-            right = parse()
-            node = _intern(head, None, (left, right))
         else:
             raise MalformedInput(f"unknown gate kind {head!r}")
-        if pos >= len(tokens) or tokens[pos] != ")":
-            raise MalformedInput(f"missing ')' in {head} form")
-        pos += 1
-        return node
-
-    root = parse()
+        close(head)
+        # a finished node is the right argument of every form it completes
+        while pending and pending[-1][1] is not None:
+            head, left = pending.pop()
+            node = _intern(head, None, (left, node))
+            close(head)
+        if not pending:
+            break
+        pending[-1][1] = node
     if pos != len(tokens):
         raise MalformedInput(f"trailing input after circuit: {tokens[pos]!r}")
-    return root
+    return node

@@ -15,9 +15,9 @@ from math import comb
 
 from . import circuit as cc
 from .charpoly import det
-from .errors import (CapExceeded, InvalidInput, NotLIntersecting,
-                     PreconditionViolated, ScaleExceeded, SizeExceeded,
-                     SystemUnsolvable, Unsolvable)
+from .errors import (CapExceeded, CertificateFailed, InvalidInput,
+                     NotLIntersecting, PreconditionViolated, ScaleExceeded,
+                     SizeExceeded, SystemUnsolvable, Unsolvable)
 from .field import GF2, GF3, QQ, PrimeField
 from .matrix import Matrix
 from .rank import mulmuley_rank, solve
@@ -273,7 +273,8 @@ def rcw_verify(family, L):
     for a in range(m):
         for b in range(m):
             acc = sum(C[a][t] * M[t][b] for t in range(len(monos)))
-            assert acc == U[a][b], "multilinearization is not evaluation-faithful"
+            if acc != U[a][b]:
+                raise CertificateFailed("multilinearization is not evaluation-faithful")
     bound = sum(binom(n, i) for i in range(s + 1))
     if m > bound:
         raise PreconditionViolated(
@@ -301,8 +302,10 @@ def oddtown_check(family):
                     witness=(i + 1, j + 1))
     inc = Matrix(GF2, family.bit_rows())
     r = mulmuley_rank(inc).rank
-    assert r == family.m, "incidence rows over GF(2) are dependent"
-    assert family.m <= family.n
+    if r != family.m:
+        raise CertificateFailed("incidence rows over GF(2) are dependent")
+    if family.m > family.n:
+        raise CertificateFailed(f"{family.m} sets beat the oddtown bound {family.n}")
     return {"m": family.m, "n": family.n, "gf2_rank": r, "bound_holds": True}
 
 
@@ -325,8 +328,10 @@ def fisher_check(family, lam):
     B = Matrix(QQ, [[Fraction(x) for x in row] for row in family.bit_rows()])
     gram = B @ B.transpose()
     d = det(gram)
-    assert d != 0, "Gram determinant vanished on a valid Fisher family"
-    assert family.m <= family.n
+    if d == 0:
+        raise CertificateFailed("Gram determinant vanished on a valid Fisher family")
+    if family.m > family.n:
+        raise CertificateFailed(f"{family.m} sets beat the Fisher bound {family.n}")
     return {"m": family.m, "n": family.n, "gram_det": d, "bound_holds": True}
 
 
@@ -356,7 +361,9 @@ def graham_pollak_check(n, bicliques):
         raise PreconditionViolated(f"edge {missing[0]} is not covered",
                                    witness=missing[0])
     count = len(list(bicliques))
-    assert count >= n - 1
+    if count < n - 1:
+        raise CertificateFailed(
+            f"{count} bicliques beat the Graham-Pollak bound {n - 1}")
     return {"n": n, "count": count, "bound_holds": True}
 
 
@@ -540,8 +547,11 @@ def ramsey_check(G, rank2, rank3):
     ind = independence_number(G)
     clique_bound = rank2 + 1
     indep_bound = binom(rank3 + 1, 2) + 1
-    assert cl <= clique_bound, f"clique {cl} beats the Z2 bound {clique_bound}"
-    assert ind <= indep_bound, f"independent set {ind} beats the Z3 bound {indep_bound}"
+    if cl > clique_bound:
+        raise CertificateFailed(f"clique {cl} beats the Z2 bound {clique_bound}")
+    if ind > indep_bound:
+        raise CertificateFailed(
+            f"independent set {ind} beats the Z3 bound {indep_bound}")
     return {"clique": cl, "independence": ind,
             "clique_bound": clique_bound, "independence_bound": indep_bound,
             "bounds_hold": True}

@@ -17,10 +17,6 @@ from .matrix import Matrix, mat_vec
 
 NEG_INF = float("-inf")
 
-# Flip off to skip the redundant Toeplitz cross-check inside poly_mul
-# (kept on: the check is the same asymptotic cost as the product itself).
-CHECK_CONV = True
-
 
 class Polynomial:
     __slots__ = ("field", "coeffs")
@@ -161,10 +157,9 @@ def poly_mul(f, g):
         for j in range(max(0, k - f.deg()), min(k, g.deg()) + 1):
             acc = F.add(acc, F.mul(f.coeff(k - j), g.coeff(j)))
         out.append(acc)
-    if CHECK_CONV:
-        via_toeplitz = mat_vec(conv_matrix(f, g.deg() + 1), list(g.coeffs))
-        assert all(F.eq(a, b) for a, b in zip(out, via_toeplitz)), \
-            "direct convolution disagrees with the Toeplitz matrix product"
+    via_toeplitz = mat_vec(conv_matrix(f, g.deg() + 1), list(g.coeffs))
+    assert all(F.eq(a, b) for a, b in zip(out, via_toeplitz)), \
+        "direct convolution disagrees with the Toeplitz matrix product"
     return Polynomial(F, out)
 
 
@@ -174,9 +169,11 @@ def subst(f, target):
         if not target.is_square():
             raise NonSquare("substitution needs a square matrix")
         F = target.field
+        if f.is_zero():
+            return Matrix.zeros(F, target.n, target.n)
         ident = Matrix.identity(F, target.n)
-        acc = Matrix.zeros(F, target.n, target.n)
-        for c in reversed(f.coeffs):
+        acc = ident.scale(f.coeffs[-1])
+        for c in reversed(f.coeffs[:-1]):
             acc = (acc @ target) + ident.scale(c)
         return acc
     if isinstance(target, Polynomial):
@@ -227,6 +224,9 @@ class PolynomialRing(Ring):
 
     def gen(self):
         return Polynomial.x(self.base)
+
+    def from_base(self, a):
+        return Polynomial.constant(self.base, a)
 
     def add(self, a, b):
         return a + b

@@ -1,7 +1,7 @@
-"""Rank via the characteristic polynomial over F(X), and its applications.
+"""Rank via the characteristic polynomial over F[X], and its applications.
 
 The pipeline: symmetrize A into [[0,A],[A^T,0]], scale row i by X^(i-1)
-(polize), take the division-free characteristic polynomial over F(X), and
+(polize), take the division-free characteristic polynomial over F[X], and
 read the rank off the multiplicity of the root 0:
 
     rank(A) = (m + n - mul) / 2.
@@ -12,8 +12,12 @@ characteristic polynomial, so no Gaussian elimination appears anywhere in
 this module (elimination lives only in the test oracle).
 
 Two execution paths compute identical answers:
-  * a generic path over a RationalFunctionField instance, faithful to the
-    matrix-over-F(X) formulation, usable over any base field;
+  * a generic path over a PolynomialRing instance, usable over any base
+    field: Berkowitz's algorithm is division-free, so every coefficient of
+    charpoly(polize(A)) is a polynomial in X and F(X) is never needed
+    (only decompose, which inverts p~(0), works over F(X)).  solvable,
+    solve and decompose share one Horner helper for p~(C) applied to a
+    vector;
   * a fast private kernel for rationals and prime fields.  It exploits that
     polize(A) = diag(X^0..X^(N-1)) * B with B numeric, so every matrix-vector
     step is one numeric matmul plus row shifts on coefficient arrays
@@ -40,7 +44,7 @@ from .errors import (CertificateFailed, DimensionMismatch, IndexOutOfRange,
                      InvalidInput, Unsolvable, ZeroMatrix)
 from .field import PrimeField, Rationals
 from .matrix import Matrix, mat_vec
-from .poly import Polynomial
+from .poly import Polynomial, PolynomialRing
 from .ratfunc import RationalFunctionField
 from .charpoly import charpoly as _charpoly, inverse as _inverse
 
@@ -90,24 +94,24 @@ def symm(A):
     return top.vstack(bottom)
 
 
-def chi_matrix(fx, n):
-    """diag(X^0, X^1, ..., X^(n-1)) over the rational-function field fx."""
-    x = fx.gen()
+def chi_matrix(ring, n):
+    """diag(X^0, X^1, ..., X^(n-1)) over ring, F[X] or F(X)."""
+    x = ring.gen()
     rows = []
-    power = fx.one()
+    power = ring.one()
     for i in range(n):
-        rows.append([power if j == i else fx.zero() for j in range(n)])
+        rows.append([power if j == i else ring.zero() for j in range(n)])
         if i < n - 1:
-            power = fx.mul(power, x)
-    return Matrix(fx, rows)
+            power = ring.mul(power, x)
+    return Matrix(ring, rows)
 
 
-def polize(A, fx=None):
-    """chi(m+n) * symm(A), a matrix over F(X) with row i scaled by X^(i-1)."""
-    fx = fx or RationalFunctionField(A.field)
+def polize(A, ring=None):
+    """chi(m+n) * symm(A) with row i scaled by X^(i-1), over ring: any
+    PolynomialRing or RationalFunctionField of A's field (F(X) by default)."""
+    ring = ring or RationalFunctionField(A.field)
     S = symm(A)
-    lifted = S.map(fx.from_base, fx)
-    return chi_matrix(fx, S.n) @ lifted
+    return chi_matrix(ring, S.n) @ S.map(ring.from_base, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +353,10 @@ def mulmuley_rank(A, method="auto"):
     field = A.field
     N = A.m + A.n
     if method == "generic" or not (method in ("auto", "fast") and _fast_supported(field)):
-        fx, ch = _generic_polize_charpoly(A)
-        mul = 0
-        while mul <= N and fx.is_zero(ch[N - mul]):
-            mul += 1
-        report_poly = Polynomial(fx, list(reversed(ch)))
+        _, ch = _generic_charpoly(A)
+        mul = ch.root0_mul()
+        fx = RationalFunctionField(field)
+        report_poly = Polynomial(fx, [fx.from_poly(c) for c in ch.constant_first()])
     else:
         num, B, scale, _, _ = _sym_parts(field, A)
         ch = _fast_charpoly(num, B)
@@ -364,15 +367,10 @@ def mulmuley_rank(A, method="auto"):
     return RankReport(A.m, A.n, report_poly, mul, (N - mul) // 2)
 
 
-def _generic_polize_charpoly(A):
-    """charpoly(polize(A)) over F(X), leading-first list; asserts that no
-    denominator ever appears (Berkowitz is division-free on polynomials)."""
-    fx = RationalFunctionField(A.field)
-    C = polize(A, fx)
-    ch = _charpoly(C).coeffs
-    assert all(fx.is_polynomial(c) for c in ch), \
-        "rational-function denominators leaked into a division-free computation"
-    return fx, list(ch)
+def _generic_charpoly(A):
+    """(polize(A), its CharPoly), both over F[X]."""
+    C = polize(A, PolynomialRing(A.field))
+    return C, _charpoly(C)
 
 
 def _report_polynomial(field, ch, scale):
@@ -409,47 +407,36 @@ def solvable(A, b, method="auto"):
         ch = _fast_charpoly(num, B)
         acc = _horner(num, B, ch, _mul_of(ch), b_ints, 0)
         return acc is None or not acc[2].any()
-    return _generic_solvable(A, b)
+    C, ch = _generic_charpoly(A)
+    acc = _apply_ptilde(C, ch, _chi_b(C, b), 0)
+    return all(C.field.is_zero(u) for u in acc)
 
 
-def _generic_system(A, b):
-    fx = RationalFunctionField(A.field)
-    C = polize(A, fx)
-    N = C.n
-    ch = _charpoly(C).coeffs  # leading-first over F(X)
-    mul = 0
-    while mul <= N and fx.is_zero(ch[N - mul]):
-        mul += 1
-    x = fx.gen()
-    w0 = []
-    power = fx.one()
-    for i in range(N):
-        w0.append(fx.mul(power, fx.from_base(b[i])) if i < len(b) else fx.zero())
-        if i < N - 1:
-            power = fx.mul(power, x)
-    return fx, C, ch, mul, w0
+def _chi_b(C, b):
+    """chi_N * [b; 0] over C's ring F[X]: row i is the monomial b_i X^i."""
+    return [C.field.from_base(b[i]).shift(i) if i < len(b) else C.field.zero()
+            for i in range(C.n)]
 
 
-def _generic_solvable(A, b):
-    fx, C, ch, mul, w0 = _generic_system(A, b)
-    N = C.n
+def _apply_ptilde(C, ch, w, last):
+    """sum_{j=last}^{N-mul} t_(j+mul) C^(j-last) w by Horner over C's ring,
+    where t_k is the Y^k coefficient of ch = charpoly(C) and mul its root-0
+    multiplicity; last=0 gives p~(C) w.  None when the sum is empty."""
+    R = C.field
+    mul = ch.root0_mul()
     acc = None
-    for j in range(N - mul, -1, -1):
-        t = ch[N - (j + mul)]
-        term = [fx.mul(t, w) for w in w0]
-        if acc is None:
-            acc = term
-        else:
-            acc = mat_vec(C, acc)
-            acc = [fx.add(u, v) for u, v in zip(acc, term)]
-    return all(fx.is_zero(u) for u in acc)
+    for j in range(C.n - mul, last - 1, -1):
+        term = [R.mul(ch.coeff_of(j + mul), x) for x in w]
+        if acc is not None:
+            term = [R.add(u, v) for u, v in zip(mat_vec(C, acc), term)]
+        acc = term
+    return acc
 
 
 def solve(A, b, method="auto"):
     """A particular solution of Ax = b via v = R(C)(chi [b;0]).
 
-    Over F(X) the identity symm(A) v = p~(0) [b;0] holds with everything
-    polynomial in X.  Let s be the multiplicity of the root 0 of the scalar
+    Over F[X] the identity symm(A) v = p~(0) [b;0] holds.  Let s be the multiplicity of the root 0 of the scalar
     p~(0); comparing X^s coefficients gives symm(A) v_s = tau [b;0] with tau
     the (nonzero) X^s coefficient of p~(0), so the lower n components of
     tau^(-1) v_s solve the system.  (With s = 0 this is evaluation at X = 0;
@@ -480,30 +467,17 @@ def solve(A, b, method="auto"):
             # v_hat = scale^(N-mul-1) * b_scale * v;  tau_hat = scale^(N-mul) * tau
             x = [Fraction(-scale * vs[m + i], tau_hat * b_scale) for i in range(n)]
     else:
-        fx, C, ch, mul, w0 = _generic_system(A, b)
-        acc = None
-        for j in range(N - mul, 0, -1):
-            t = ch[N - (j + mul)]
-            term = [fx.mul(t, w) for w in w0]
-            if acc is None:
-                acc = term
-            else:
-                acc = mat_vec(C, acc)
-                acc = [fx.add(u, v) for u, v in zip(acc, term)]
-        base = fx.base
-        t0 = ch[N - mul]
-        assert fx.is_polynomial(t0), "p~(0) must be polynomial for polize inputs"
+        C, ch = _generic_charpoly(A)
+        acc = _apply_ptilde(C, ch, _chi_b(C, b), 1)
+        t0 = ch.coeff_of(ch.root0_mul())  # p~(0), a nonzero polynomial
         s = 0
-        while base.is_zero(t0.num.coeff(s)):
+        while field.is_zero(t0.coeff(s)):
             s += 1
-        tau_inv = base.inv(t0.num.coeff(s))
+        tau_inv = field.inv(t0.coeff(s))
         if acc is None:
-            x = [base.zero()] * n
+            x = [field.zero()] * n
         else:
-            for u in acc[m:]:
-                assert fx.is_polynomial(u), "v must be polynomial for polize inputs"
-            x = [base.mul(base.neg(acc[m + i].num.coeff(s)), tau_inv)
-                 for i in range(n)]
+            x = [field.mul(field.neg(acc[m + i].coeff(s)), tau_inv) for i in range(n)]
     # contractual check: the formula only solves solvable systems
     got = mat_vec(A, x)
     if not all(field.eq(u, v) for u, v in zip(got, b)):
@@ -523,22 +497,9 @@ def decompose(C, v):
     if not C.is_square():
         raise InvalidInput("decomposition needs a square polize matrix")
     fx = C.field
-    N = C.n
-    ch = _charpoly(C).coeffs
-    mul = 0
-    while mul <= N and fx.is_zero(ch[N - mul]):
-        mul += 1
-    acc = None
-    for j in range(N - mul, -1, -1):
-        t = ch[N - (j + mul)]
-        term = [fx.mul(t, w) for w in v]
-        if acc is None:
-            acc = term
-        else:
-            acc = mat_vec(C, acc)
-            acc = [fx.add(u, w) for u, w in zip(acc, term)]
-    s_inv = fx.inv(ch[N - mul])  # p~(0), a nonzero element of F(X)
-    u1 = [fx.mul(s_inv, u) for u in acc]
+    ch = _charpoly(C)
+    s_inv = fx.inv(ch.coeff_of(ch.root0_mul()))  # p~(0), a nonzero element of F(X)
+    u1 = [fx.mul(s_inv, u) for u in _apply_ptilde(C, ch, v, 0)]
     u2 = [fx.sub(w, u) for w, u in zip(v, u1)]
     return u1, u2
 
@@ -575,7 +536,8 @@ def greedy_basis(A, with_coeffs=True, method="auto"):
             else:
                 bcols.append(solve(basis, cols[j], method=method))
         coeffs = Matrix(field, [[bcols[j][i] for j in range(n)] for i in range(n)])
-        assert A == basis @ coeffs, "basis reconstruction failed"
+        if A != basis @ coeffs:
+            raise CertificateFailed("basis reconstruction failed")
     return BasisSelection(selected, basis, count, coeffs)
 
 

@@ -115,6 +115,13 @@ def test_exit_code_corrupt_kernel(tmp_path, capsys, monkeypatch):
     assert "CertificateFailed" in err and "odd rank numerator" in err
 
 
+def test_circuit_eval_deep_nesting(tmp_path, capsys):
+    depth = 5000
+    text = "(add " * depth + "(const 1)" + " (const 1))" * depth
+    assert run(["circuit-eval", _write(tmp_path, "deep.txt", text)]) == 0
+    assert capsys.readouterr().out == f"{depth + 1}\n"
+
+
 def test_exit_code_malformed(tmp_path, capsys):
     bad = _write(tmp_path, "A.txt", "2 2\n1 2\n3\n")
     assert run(["det", bad]) == 2

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import exactla
 from exactla import circuit as cc
 from exactla.combinatorics import (Graph, SetFamily, binom, binom_table,
                                    clique_number, fisher_check,
@@ -8,8 +14,8 @@ from exactla.combinatorics import (Graph, SetFamily, binom, binom_table,
                                    oddtown_check, or_poly_mod_pe, ramsey_check,
                                    rcw_verify, subset_rank, subset_unrank,
                                    subsets_up_to)
-from exactla.errors import (InvalidInput, NotLIntersecting,
-                            PreconditionViolated)
+from exactla.errors import (CertificateFailed, InvalidInput,
+                            NotLIntersecting, PreconditionViolated)
 from exactla.field import QQ
 
 
@@ -136,6 +142,23 @@ def test_grolmusz_k2():
     assert report["bounds_hold"]
     assert report["clique"] <= built["rank2"] + 1
     assert report["independence"] <= binom(built["rank3"] + 1, 2) + 1
+    # clique 2 beats the bound rank2 + 1 = 1
+    with pytest.raises(CertificateFailed):
+        ramsey_check(G, rank2=0, rank3=0)
+
+
+def test_ramsey_bound_failure_raises_under_optimize():
+    code = ("from exactla.combinatorics import grolmusz_graph, ramsey_check\n"
+            "from exactla.errors import CertificateFailed\n"
+            "try:\n"
+            "    ramsey_check(grolmusz_graph(2)['graph'], rank2=0, rank3=0)\n"
+            "except CertificateFailed:\n"
+            "    print(__debug__, 'raised')\n")
+    src = str(Path(exactla.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "False raised\n"
 
 
 def test_grolmusz_k3_capped():

@@ -68,6 +68,7 @@ def test_substitution():
     A = Matrix(QQ, [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]])
     assert subst(Polynomial.one(QQ), A) == Matrix.identity(QQ, 2)
     assert subst(Polynomial.x(QQ), A) == A
+    assert subst(Polynomial.zero(QQ), A) == Matrix.zeros(QQ, 2, 2)
     g = subst(f, P(0, 2))  # (2X)^2 - 1
     assert g == P(-1, 0, 4)
 

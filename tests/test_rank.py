@@ -211,6 +211,38 @@ def test_solve_contract_random():
                 assert all(field.eq(u, v) for u, v in zip(mat_vec(A, x), b))
 
 
+def test_generic_path_over_rational_functions():
+    # F(X) entries have no fast kernel, so rank, solvable and solve all run
+    # the generic path, over F(X)[X]
+    rng = SplitMix64(79)
+    for base in (QQ, GF3):
+        fx = RationalFunctionField(base)
+
+        def linear():
+            return fx.from_poly(Polynomial(base, _rand_vec(rng, base, 2)))
+
+        for t in range(8):
+            m, n = rng.randint(1, 2), rng.randint(1, 3)
+            rows = [[linear() for _ in range(n)] for _ in range(m)]
+            if m == 2 and t % 3 == 0:  # a dependent second row
+                c = linear()
+                rows[1] = [fx.mul(c, e) for e in rows[0]]
+            A = Matrix(fx, rows)
+            assert rank(A) == oracles.gauss_rank(A)
+            if t % 2 == 0:
+                b = mat_vec(A, [linear() for _ in range(n)])
+            else:
+                b = [linear() for _ in range(m)]
+            oracle = oracles.gauss_solve(A, b)
+            assert solvable(A, b) == (oracle is not None)
+            if oracle is None:
+                with pytest.raises(Unsolvable):
+                    solve(A, b)
+            else:
+                x = solve(A, b)
+                assert all(fx.eq(u, v) for u, v in zip(mat_vec(A, x), b))
+
+
 def test_solve_rank_deficient_diagonal():
     # mul > 0 and a vanishing constant term exercise the X^s extraction
     A = M([[1, 0], [0, 0]])
