@@ -151,6 +151,7 @@ def quasi_inverse(A):
     if m == 0:
         return adjugate(A, ch)
     B = subst(Polynomial(A.field, ch.constant_first()[m:]), A)  # ft(A)
-    while not (A @ B).is_zero():
-        B = A @ B
+    AB = A @ B
+    while not AB.is_zero():
+        B, AB = AB, A @ AB
     return B

@@ -2,13 +2,8 @@
 
 Entries are stored row-major as tuples, immutable after construction.
 User-facing indexing is 1-based (``at``/``extract``); internal code uses the
-0-based ``rows`` tuples directly.
-
-Addition and multiplication are strict about dimensions by default.  The
-opt-in ``padded=True`` mode reproduces the zero-padding convention some of
-the algorithms are stated with: a sum becomes (max rows x max cols), and a
-product A*B is always (rows(A) x cols(B)), contracting over
-max(cols(A), rows(B)) with missing entries read as 0.
+0-based ``rows`` tuples directly.  Addition and multiplication are strict
+about dimensions.
 """
 
 from .errors import DimensionMismatch, IndexOutOfRange, NonSquare
@@ -84,17 +79,13 @@ class Matrix:
 
     # arithmetic
 
-    def add(self, other, padded=False):
+    def add(self, other):
         self._same_field(other)
+        if self.shape != other.shape:
+            raise DimensionMismatch(f"add {self.shape} vs {other.shape}")
         F = self.field
-        if not padded:
-            if self.shape != other.shape:
-                raise DimensionMismatch(f"add {self.shape} vs {other.shape}")
-            return Matrix(F, [[F.add(a, b) for a, b in zip(ra, rb)]
-                              for ra, rb in zip(self.rows, other.rows)])
-        m, n = max(self.m, other.m), max(self.n, other.n)
-        return Matrix(F, [[F.add(self.extract(i, j), other.extract(i, j))
-                           for j in range(1, n + 1)] for i in range(1, m + 1)])
+        return Matrix(F, [[F.add(a, b) for a, b in zip(ra, rb)]
+                          for ra, rb in zip(self.rows, other.rows)])
 
     def __add__(self, other):
         return self.add(other)
@@ -113,21 +104,20 @@ class Matrix:
         F = self.field
         return Matrix(F, [[F.mul(c, a) for a in r] for r in self.rows])
 
-    def mul(self, other, padded=False):
+    def mul(self, other):
         self._same_field(other)
-        F = self.field
-        if not padded and self.n != other.m:
+        if self.n != other.m:
             raise DimensionMismatch(f"mul {self.shape} vs {other.shape}")
-        k = min(self.n, other.m)
+        F = self.field
         zero = F.zero()
-        bt = list(zip(*(r[:] for r in other.rows)))  # columns of other
+        bt = list(zip(*other.rows))  # columns of other
         out = []
         for ra in self.rows:
             row = []
             for cb in bt:
                 acc = zero
-                for t in range(k):
-                    acc = F.add(acc, F.mul(ra[t], cb[t]))
+                for a, b in zip(ra, cb):
+                    acc = F.add(acc, F.mul(a, b))
                 row.append(acc)
             out.append(row)
         return Matrix(F, out)

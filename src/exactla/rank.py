@@ -316,8 +316,12 @@ def _horner(num, B, ch, mul, b_ints, last):
     return acc
 
 
-def _fast_supported(field):
-    return isinstance(field, (Rationals, PrimeField))
+def _use_fast(field, method):
+    """method="auto" or "fast" takes the fast kernel wherever it applies
+    (rationals and prime fields); "generic" always takes the generic path."""
+    if method not in ("auto", "fast", "generic"):
+        raise InvalidInput(f"unknown method {method!r} (auto, fast or generic)")
+    return method != "generic" and isinstance(field, (Rationals, PrimeField))
 
 
 def _clear_ints(field, elems):
@@ -352,16 +356,16 @@ def _sym_parts(field, A, b=None):
 def mulmuley_rank(A, method="auto"):
     field = A.field
     N = A.m + A.n
-    if method == "generic" or not (method in ("auto", "fast") and _fast_supported(field)):
-        _, ch = _generic_charpoly(A)
-        mul = ch.root0_mul()
-        fx = RationalFunctionField(field)
-        report_poly = Polynomial(fx, [fx.from_poly(c) for c in ch.constant_first()])
-    else:
+    if _use_fast(field, method):
         num, B, scale, _, _ = _sym_parts(field, A)
         ch = _fast_charpoly(num, B)
         mul = _mul_of(ch)
         report_poly = _report_polynomial(field, ch, scale)
+    else:
+        _, ch = _generic_charpoly(A)
+        mul = ch.root0_mul()
+        fx = RationalFunctionField(field)
+        report_poly = Polynomial(fx, [fx.from_poly(c) for c in ch.constant_first()])
     if (N - mul) % 2:
         raise CertificateFailed("odd rank numerator; characteristic polynomial is corrupt")
     return RankReport(A.m, A.n, report_poly, mul, (N - mul) // 2)
@@ -402,7 +406,7 @@ def solvable(A, b, method="auto"):
     if len(b) != A.m:
         raise DimensionMismatch(f"right-hand side length {len(b)} vs {A.m} rows")
     field = A.field
-    if method != "generic" and _fast_supported(field):
+    if _use_fast(field, method):
         num, B, _, b_ints, _ = _sym_parts(field, A, b)
         ch = _fast_charpoly(num, B)
         acc = _horner(num, B, ch, _mul_of(ch), b_ints, 0)
@@ -447,7 +451,7 @@ def solve(A, b, method="auto"):
     field = A.field
     m, n = A.m, A.n
     N = m + n
-    if method != "generic" and _fast_supported(field):
+    if _use_fast(field, method):
         num, B, scale, b_ints, b_scale = _sym_parts(field, A, b)
         ch = _fast_charpoly(num, B)
         mul = _mul_of(ch)

@@ -3,7 +3,8 @@
 Each criterion is a function taking a seeded generator and raising
 AssertionError (or any library error) on failure; `run_all` prints one
 PASS/FAIL line per criterion, including the elapsed time against the
-budget.  All randomness flows through SplitMix64, so a fixed seed
+budget.  The checks go through `_check`, not `assert`, so they still run
+under python -O.  All randomness flows through SplitMix64, so a fixed seed
 reproduces a run exactly.
 """
 
@@ -25,6 +26,12 @@ from .ratfunc import RationalFunctionField
 from .rng import SplitMix64
 
 GF7 = PrimeField(7)
+
+
+def _check(ok, detail=""):
+    """Raise AssertionError unless ok: an assert that python -O keeps."""
+    if not ok:
+        raise AssertionError(detail)
 
 
 def _rand_matrix(rng, field, m, n, lo=-3, hi=3):
@@ -52,11 +59,11 @@ def criterion_1(rng):
             col = greedy_basis(A, with_coeffs=False)
             row = greedy_basis(A.transpose(), with_coeffs=False)
             ro = oracles.gauss_rank(A)
-            assert r == col.count == row.count == ro, (A, r, col.count, row.count, ro)
+            _check(r == col.count == row.count == ro, (A, r, col.count, row.count, ro))
             if r and t % 25 == 0:
                 sel = max_nonsingular_minor(A)
-                assert len(sel.U) == len(sel.V) == r
-                assert not field.is_zero(det(A.submatrix(sel.U, sel.V)))
+                _check(len(sel.U) == len(sel.V) == r)
+                _check(not field.is_zero(det(A.submatrix(sel.U, sel.V))))
             total += 1
     return f"{total} matrices, four rank computations each"
 
@@ -70,18 +77,18 @@ def criterion_2(rng):
             for c in range(3):
                 for d in range(3):
                     A = Matrix(GF3, [[a, b], [c, d]])
-                    assert GF3.eq(det(A), oracles.cofactor_det(A))
+                    _check(GF3.eq(det(A), oracles.cofactor_det(A)))
                     checks += 1
     for _ in range(500):
         n = rng.choice([3, 4])
         A = _rand_matrix(rng, QQ, n, n)
-        assert det(A) == oracles.cofactor_det(A)
+        _check(det(A) == oracles.cofactor_det(A))
         checks += 1
     for _ in range(200):
         n = rng.randint(1, 5)
         A = _rand_matrix(rng, QQ, n, n)
         B = _rand_matrix(rng, QQ, n, n)
-        assert det(A @ B) == det(A) * det(B)
+        _check(det(A @ B) == det(A) * det(B))
         checks += 1
     RX = PolynomialRing(QQ)
     for _ in range(100):
@@ -92,7 +99,7 @@ def criterion_2(rng):
         B = Matrix(RX, [[Polynomial.from_ints(QQ, [rng.randint(-2, 2)
                                                    for _ in range(rng.randint(1, 3))])
                          for _ in range(n)] for _ in range(n)])
-        assert det(A @ B) == det(A) * det(B)
+        _check(det(A @ B) == det(A) * det(B))
         checks += 1
     return f"{checks} determinant checks (exhaustive GF3 2x2 included)"
 
@@ -105,14 +112,14 @@ def criterion_3(rng):
         field = fields[t % 3]
         n = rng.randint(1, 5)
         A = _rand_matrix(rng, field, n, n)
-        assert subst(charpoly(A).to_polynomial(), A).is_zero()
+        _check(subst(charpoly(A).to_polynomial(), A).is_zero())
     fx = RationalFunctionField(QQ)
     for _ in range(50):
         n = rng.randint(1, 5)
         A = Matrix(fx, [[fx.from_poly(Polynomial.from_ints(
             QQ, [rng.randint(-2, 2) for _ in range(3)]))
             for _ in range(n)] for _ in range(n)])
-        assert subst(charpoly(A).to_polynomial(), A).is_zero()
+        _check(subst(charpoly(A).to_polynomial(), A).is_zero())
     return "250 matrices annihilated by their characteristic polynomials"
 
 
@@ -131,11 +138,11 @@ def criterion_4(rng):
         else:
             b = _rand_vector(rng, field, m)
         sv = solvable(A, b)
-        assert sv == (oracles.gauss_solve(A, b) is not None)
+        _check(sv == (oracles.gauss_solve(A, b) is not None))
         agree += 1
         if sv:
             got = solve(A, b)
-            assert all(field.eq(u, v) for u, v in zip(mat_vec(A, got), b))
+            _check(all(field.eq(u, v) for u, v in zip(mat_vec(A, got), b)))
             solved += 1
     return f"{agree} solvability agreements, {solved} exact solutions"
 
@@ -148,19 +155,19 @@ def criterion_5(rng):
         field = fields[t % 3]
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         A = _rand_matrix(rng, field, m, n)
-        sel = greedy_basis(A)  # with_coeffs asserts basis * B == A internally
-        assert A == sel.basis @ sel.coeffs
+        sel = greedy_basis(A)  # with_coeffs checks basis * B == A internally
+        _check(A == sel.basis @ sel.coeffs)
         kb = kernel_basis(A)
         r = oracles.gauss_rank(A)
-        assert sel.count == r
-        assert len(kb) == n - r
+        _check(sel.count == r)
+        _check(len(kb) == n - r)
         for w in kb:
-            assert all(field.is_zero(x) for x in mat_vec(A, w))
+            _check(all(field.is_zero(x) for x in mat_vec(A, w)))
         if kb:
             K = Matrix(field, [[w[i] for w in kb] for i in range(n)])
-            assert oracles.gauss_rank(K) == len(kb)
+            _check(oracles.gauss_rank(K) == len(kb))
         for w in oracles.gauss_kernel(A):
-            assert oracles.in_span(kb, w, field)
+            _check(oracles.in_span(kb, w, field))
     return "300 kernel/image decompositions checked against elimination"
 
 
@@ -178,7 +185,7 @@ def criterion_6(rng):
         d = f.deg()
         points = [field.from_int(i) for i in range(d + 1)]
         i = distinct_point_witness(f, points)
-        assert not field.is_zero(f(points[i]))
+        _check(not field.is_zero(f(points[i])))
     return "300 nonzero polynomials, witness point always found"
 
 
@@ -196,10 +203,10 @@ def criterion_7(rng):
                                for _ in range(dB + 1)])
         via_blocks = A.pm_mul(B)
         via_entries = PolyMatrix.from_matrix(A.to_matrix() @ B.to_matrix())
-        assert via_blocks == via_entries
+        _check(via_blocks == via_entries)
         if m == n:
             k = rng.randint(0, 4)
-            assert A.pm_pow(k) == PolyMatrix.from_matrix(A.to_matrix().power(k))
+            _check(A.pm_pow(k) == PolyMatrix.from_matrix(A.to_matrix().power(k)))
     return "200 block-coded products matched the entrywise path"
 
 
@@ -242,7 +249,7 @@ def criterion_8(rng):
                 rv = cc.evaluate(rhs, field, asn)
             except ZeroDenominator:
                 continue
-            assert field.eq(lv, rv)
+            _check(field.eq(lv, rv))
             done += 1
     for t in range(100):
         field = QQ if t % 2 == 0 else GF7
@@ -251,7 +258,7 @@ def criterion_8(rng):
             if cc.is_division_free(F):
                 break
         asn = {v: field.from_int(rng.randint(-4, 4)) for v in "abc"}
-        assert field.eq(cc.evaluate(F, field, asn), cc.eval_direct(F, field, asn))
+        _check(field.eq(cc.evaluate(F, field, asn), cc.eval_direct(F, field, asn)))
     return "7 identity schemas x 100 instances, plus 100 division-free matches"
 
 
@@ -272,7 +279,7 @@ def criterion_9(rng):
     for v in vectors:
         for k in range(6):
             got = iota(QQ, count_nonzero(QQ, v, k)) - 1
-            assert got == oracles.direct_count(QQ, v, k)
+            _check(got == oracles.direct_count(QQ, v, k))
             checks += 1
     return f"{checks} exhaustive counter agreements"
 
@@ -345,24 +352,24 @@ def _rcw_family(rng):
 def criterion_10(rng):
     for _ in range(50):
         rep = cb.oddtown_check(_oddtown_family(rng))
-        assert rep["bound_holds"]
+        _check(rep["bound_holds"])
     for _ in range(50):
         fam, lam = _fisher_family(rng)
-        assert cb.fisher_check(fam, lam)["bound_holds"]
+        _check(cb.fisher_check(fam, lam)["bound_holds"])
     for _ in range(50):
         n, bic = _star_partition(rng)
-        assert cb.graham_pollak_check(n, bic)["bound_holds"]
+        _check(cb.graham_pollak_check(n, bic)["bound_holds"])
     for _ in range(50):
         fam, L = _rcw_family(rng)
         rep = cb.rcw_verify(fam, L)
-        assert rep["bound_holds"] and rep["diag_nonzero"]
+        _check(rep["bound_holds"] and rep["diag_nonzero"])
     total = sum(cb.binom(6, i) for i in range(3))
     seen = set()
     for x in range(1, total + 1):
         S = cb.subset_unrank(6, x, 2)
-        assert cb.subset_rank(6, S, 2) == x
+        _check(cb.subset_rank(6, S, 2) == x)
         seen.add(S)
-    assert len(seen) == total
+    _check(len(seen) == total)
     return "200 generated instances plus exhaustive n=6, s=2 ranking roundtrip"
 
 
@@ -373,11 +380,11 @@ def criterion_11(rng):
         spec = cb.or_poly_mod_pe(4, p, e)
         q = p ** e
         for j in range(3 * q + 1):
-            assert (spec.eval_count(j) == 0) == (j % q == 0)
+            _check((spec.eval_count(j) == 0) == (j % q == 0))
     for k, cap in ((2, None), (3, 27)):
         rep = cb.grolmusz_graph(k, cap)  # verifies co-diagonality internally
         check = cb.ramsey_check(rep["graph"], rep["rank2"], rep["rank3"])
-        assert check["bounds_hold"]
+        _check(check["bounds_hold"])
     return "4 moduli verified; k=2 and capped k=3 certificates hold"
 
 

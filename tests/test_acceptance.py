@@ -2,8 +2,14 @@
 criterion.  Each criterion runs its full randomized suite under a fixed seed
 and fails if either an invariant breaks or the time budget is exceeded."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import exactla
 from exactla.selftest import CRITERIA, run_criterion
 
 SEED = 7
@@ -19,3 +25,14 @@ def test_criterion(number, name, budget, capsys):
         print(f"\n{status} criterion {number} ({name}): {note} "
               f"[{elapsed:.1f}s/{budget:.0f}s]")
     assert ok, f"criterion {number} ({name}): {note}"
+
+
+def test_criterion_fails_under_optimize():
+    code = ("from exactla import selftest\n"
+            "selftest.det = lambda A: A.field.one()  # wrong on every singular matrix\n"
+            "print(__debug__, selftest.run_criterion(2)[0])\n")
+    src = str(Path(exactla.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "False False\n"

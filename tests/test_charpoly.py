@@ -117,6 +117,22 @@ def test_quasi_inverse():
         assert A @ B == Matrix.identity(field, A.n).scale(det(A))
 
 
+def test_quasi_inverse_forms_each_power_once(monkeypatch):
+    # nilpotent shift: ft = 1, and B runs through I, A, ..., A^4 (A^5 = 0)
+    shift = M([[int(j == i + 1) for j in range(5)] for i in range(5)])
+    calls = []
+    mul = Matrix.mul
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Matrix, "mul", counting_mul)
+    B = quasi_inverse(shift)
+    assert len(calls) == 5
+    assert B == M([[int((i, j) == (0, 4)) for j in range(5)] for i in range(5)])
+
+
 def test_cayley_hamilton_over_polynomials():
     RX = PolynomialRing(GF3)
     rng = SplitMix64(37)

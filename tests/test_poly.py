@@ -1,16 +1,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exactla.errors import InvalidInput
 from exactla.field import GF3, QQ, PrimeField
-from exactla.matrix import Matrix
+from exactla.matrix import Matrix, mat_vec
 from exactla.poly import (NEG_INF, Polynomial, PolynomialRing, PolyMatrix,
-                          conv_matrix, distinct_point_witness, mat_vec,
-                          poly_mul, subst)
+                          conv_matrix, distinct_point_witness, poly_mul, subst)
+from exactla.ratfunc import RationalFunctionField
 from exactla.rng import SplitMix64
 
 GF7 = PrimeField(7)
+GF7X = RationalFunctionField(GF7)
 
 
 def P(*ints):
@@ -34,19 +36,35 @@ def test_hand_convolution():
     assert (P(0) * f).is_zero()
 
 
-def test_product_against_toeplitz_matrix():
-    rng = SplitMix64(3)
-    for _ in range(60):
-        f = Polynomial(QQ, [Fraction(rng.randint(-4, 4))
-                            for _ in range(rng.randint(1, 5))])
-        g = Polynomial(QQ, [Fraction(rng.randint(-4, 4))
-                            for _ in range(rng.randint(1, 5))])
-        if f.is_zero():
-            continue  # conv_matrix needs f != 0 (no zero-dimension matrices)
-        width = g.deg() + 1 if not g.is_zero() else 1
-        T = conv_matrix(f, width)
-        by_matrix = mat_vec(T, g.padded(width))
-        assert list(poly_mul(f, g).padded(T.m)) == by_matrix
+_gf7_polys = st.lists(st.integers(0, 6), min_size=1, max_size=3).map(
+    lambda cs: Polynomial(GF7, cs))
+_COEFFS = {
+    QQ: st.fractions(min_value=-4, max_value=4, max_denominator=3),
+    GF7: st.integers(0, 6),
+    GF7X: st.builds(GF7X.make, _gf7_polys, _gf7_polys.filter(lambda d: not d.is_zero())),
+}
+
+
+@st.composite
+def factor_pairs(draw):
+    """Two polynomials over QQ, GF(7) or GF(7)(X), the first nonzero
+    (conv_matrix has no zero-dimension form)."""
+    ring = draw(st.sampled_from((QQ, GF7, GF7X)))
+    coeff = _COEFFS[ring]
+    polys = st.lists(coeff, min_size=1, max_size=5).map(lambda cs: Polynomial(ring, cs))
+    return draw(polys.filter(lambda f: not f.is_zero())), draw(polys)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(factor_pairs())
+def test_product_against_toeplitz_matrix(fg):
+    f, g = fg
+    F = f.field
+    width = g.deg() + 1 if not g.is_zero() else 1
+    T = conv_matrix(f, width)
+    by_matrix = mat_vec(T, g.padded(width))
+    by_convolution = poly_mul(f, g).padded(T.m)
+    assert all(F.eq(a, b) for a, b in zip(by_convolution, by_matrix, strict=True))
 
 
 def test_degree_rules():

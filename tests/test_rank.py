@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from exactla import oracles
-from exactla.errors import Unsolvable, ZeroMatrix
+from exactla.errors import InvalidInput, Unsolvable, ZeroMatrix
 from exactla.field import GF2, GF3, QQ, PrimeField
 from exactla.matrix import Matrix, mat_vec
 from exactla.poly import Polynomial
@@ -115,6 +115,20 @@ def test_rank_methods_agree():
         for k in (2, 5):
             check(_rand(rng, field, 1, k))
             check(_rand(rng, field, k, 1))
+
+
+def test_method_dispatch():
+    A, b = M([[1, 2], [2, 4]]), [Fraction(1), Fraction(2)]
+    for method in ("auto", "fast", "generic"):
+        assert mulmuley_rank(A, method=method).rank == 1
+        assert solvable(A, b, method=method)
+        assert mat_vec(A, solve(A, b, method=method)) == b
+    for method in ("Fast", "numpy", ""):
+        for call in (lambda: mulmuley_rank(A, method=method),
+                     lambda: solvable(A, b, method=method),
+                     lambda: solve(A, b, method=method)):
+            with pytest.raises(InvalidInput):
+                call()
 
 
 def test_rank_subadditive():
