@@ -14,7 +14,7 @@ product equals det(YI - A), so det(A) = (-1)^n times its constant
 coefficient.
 """
 
-from .errors import IndexOutOfRange, NonSquare, SingularMatrix
+from .errors import DimensionMismatch, IndexOutOfRange, NonSquare, SingularMatrix
 from .matrix import Matrix
 from .poly import Polynomial, subst
 
@@ -28,7 +28,8 @@ class CharPoly:
         self.field = field
         self.coeffs = tuple(coeffs)
         self.n = n
-        assert len(self.coeffs) == n + 1
+        if len(self.coeffs) != n + 1:
+            raise DimensionMismatch(f"{len(self.coeffs)} coefficients for degree {n}")
 
     def constant_first(self):
         return list(reversed(self.coeffs))
@@ -87,20 +88,30 @@ def berkowitz_col(k, A):
                        for j in range(n - k + 1)] for i in range(n - k + 2)])
 
 
-def charpoly(A):
-    """Monic characteristic polynomial det(YI - A), leading term first."""
+def trailing_charpolys(A):
+    """Yield the CharPoly of every trailing principal submatrix, rows and
+    columns k..n (1-based) for k = n, n-1, ..., 1: the 1x1 corner first,
+    A itself last."""
     if not A.is_square():
         raise NonSquare("characteristic polynomial needs a square matrix")
     F = A.field
     n = A.n
     v = _col_first_column(A, n)
+    yield CharPoly(F, v, 1)
     for k in range(n - 1, 0, -1):
         c = _col_first_column(A, k)
         out_len = n - k + 2
         v = [F.sum(F.mul(c[i - j], v[j])
                    for j in range(max(0, i - len(c) + 1), min(i, len(v) - 1) + 1))
              for i in range(out_len)]
-    return CharPoly(F, v, n)
+        yield CharPoly(F, v, n - k + 1)
+
+
+def charpoly(A):
+    """Monic characteristic polynomial det(YI - A), leading term first."""
+    for ch in trailing_charpolys(A):
+        pass
+    return ch
 
 
 def det(A):

@@ -181,12 +181,20 @@ def eval_direct(root, field, assignment):
 # s-expression text form: (add (div (var x) (var y)) (const 1))
 
 def format_sexpr(root):
-    if root.kind == CONST:
-        return f"(const {root.payload})"
-    if root.kind == VAR:
-        return f"(var {root.payload})"
-    a, b = root.args
-    return f"({root.kind} {format_sexpr(a)} {format_sexpr(b)})"
+    """The s-expression of root, written out as a tree, without recursion:
+    the text still to write after a gate's left argument waits on a stack."""
+    parts, stack = [], [root]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, str):
+            parts.append(g)
+        elif g.kind in (CONST, VAR):
+            parts.append(f"({g.kind} {g.payload})")
+        else:
+            a, b = g.args
+            parts.append(f"({g.kind} ")
+            stack += [")", b, " ", a]
+    return "".join(parts)
 
 
 def _tokenize(text):

@@ -9,15 +9,18 @@ read the rank off the multiplicity of the root 0:
 Solvability of Ax = b, explicit solutions, greedy image bases, maximal
 nonsingular minors and kernel bases are all built from the same
 characteristic polynomial, so no Gaussian elimination appears anywhere in
-this module (elimination lives only in the test oracle).
+this module (elimination lives only in the test oracle).  solve finds a
+solution whenever one exists, so solvable is solve's contract check.  A
+greedy selection is one Berkowitz pass: its intermediate vectors are the
+characteristic polynomials of the trailing blocks of polize, which hold the
+rank of every column prefix of A.
 
 Two execution paths compute identical answers:
   * a generic path over a PolynomialRing instance, usable over any base
     field: Berkowitz's algorithm is division-free, so every coefficient of
     charpoly(polize(A)) is a polynomial in X and F(X) is never needed
-    (only decompose, which inverts p~(0), works over F(X)).  solvable,
-    solve and decompose share one Horner helper for p~(C) applied to a
-    vector;
+    (only decompose, which inverts p~(0), works over F(X)).  solve and
+    decompose share one Horner helper for p~(C) applied to a vector;
   * a fast private kernel for rationals and prime fields.  It exploits that
     polize(A) = diag(X^0..X^(N-1)) * B with B numeric, so every matrix-vector
     step is one numeric matmul plus row shifts on coefficient arrays
@@ -30,8 +33,8 @@ possibly nonzero rows over one X-span.  B is bipartite, so half of every
 Berkowitz vector and first column is zero, and low X-degrees start out
 empty: the Toeplitz combine convolves only pairs of nonzero operands, and
 the first-column matvecs multiply only the rows a vector occupies and the
-rows of B they reach.  solvable and solve share one Horner helper for
-p~(C) applied to chi * [b;0], whose row i is the monomial b_i X^i, so each
+rows of B they reach.  solve's Horner helper applies p~(C) to
+chi * [b;0], whose row i is the monomial b_i X^i, so each
 scalar-times-vector step is a shift and scale.
 """
 
@@ -46,7 +49,8 @@ from .field import PrimeField, Rationals
 from .matrix import Matrix, mat_vec
 from .poly import Polynomial, PolynomialRing
 from .ratfunc import RationalFunctionField
-from .charpoly import charpoly as _charpoly, inverse as _inverse
+from .charpoly import (charpoly as _charpoly, inverse as _inverse,
+                       trailing_charpolys as _trailing_charpolys)
 
 
 # ---------------------------------------------------------------------------
@@ -273,19 +277,28 @@ def _fast_first_column(num, B, k0):
     return col
 
 
-def _fast_charpoly(num, B):
-    """Leading-first Y-coefficients (as trimmed X-polynomials) of the
-    characteristic polynomial of diag(X^0..X^(N-1)) * B.  Each Berkowitz
-    step multiplies by a lower-triangular Toeplitz matrix with first column
-    c; only pairs of nonzero operands are convolved."""
+def _fast_trailing_charpolys(num, B):
+    """Yield the leading-first Y-coefficients (as trimmed X-polynomials) of
+    the characteristic polynomial of every trailing principal block of
+    C = diag(X^0..X^(N-1)) * B, the 1x1 corner first and C itself last.
+    Each Berkowitz step multiplies by a lower-triangular Toeplitz matrix
+    with first column c; only pairs of nonzero operands are convolved."""
     N = B.shape[0]
     v = _fast_first_column(num, B, N - 1)
+    yield v
     for k0 in range(N - 2, -1, -1):
         c = _fast_first_column(num, B, k0)
         nz = [a for a, x in enumerate(c) if x is not None]
         v = [_psum(num, [_pmul(num, c[a], v[i - a]) for a in nz
                          if a <= i < a + len(v) and v[i - a] is not None])
              for i in range(len(c))]
+        yield v
+
+
+def _fast_charpoly(num, B):
+    """The last value of _fast_trailing_charpolys: the charpoly of C."""
+    for v in _fast_trailing_charpolys(num, B):
+        pass
     return v
 
 
@@ -297,8 +310,8 @@ def _mul_of(ch):
     return mul
 
 
-def _horner(num, B, ch, mul, b_ints, last):
-    """sum_{j=last}^{N-mul} t_(j+mul) C^(j-last) w0 by Horner, where
+def _horner(num, B, ch, mul, b_ints):
+    """sum_{j=1}^{N-mul} t_(j+mul) C^(j-1) w0 by Horner, where
     C = diag(X^0..X^(N-1)) * B, t_k = ch[N-k] and w0 = chi_N * [b; 0].
     Row i of w0 is the monomial b_i X^i, so t * w0 is t shifted and scaled
     row by row.  Returns a vector in the kernel's (rows, lo, W) form."""
@@ -306,7 +319,7 @@ def _horner(num, B, ch, mul, b_ints, last):
     brows = np.array([i for i, x in enumerate(b_ints) if x], dtype=np.intp)
     bvals = np.array([b_ints[i] for i in brows], dtype=num.dtype)
     acc = None
-    for j in range(N - mul, last - 1, -1):
+    for j in range(N - mul, 0, -1):
         if acc is not None:
             acc = _matvec(num, B, 0, acc)
         t = ch[N - (j + mul)]
@@ -401,19 +414,13 @@ def rank(A, method="auto"):
 # solvability and explicit solutions
 
 def solvable(A, b, method="auto"):
-    """Whether Ax = b has a solution: p~(C)(chi * [b;0]) = 0 with C = polize(A)
-    and p~ the characteristic polynomial with its Y^mul factor removed."""
-    if len(b) != A.m:
-        raise DimensionMismatch(f"right-hand side length {len(b)} vs {A.m} rows")
-    field = A.field
-    if _use_fast(field, method):
-        num, B, _, b_ints, _ = _sym_parts(field, A, b)
-        ch = _fast_charpoly(num, B)
-        acc = _horner(num, B, ch, _mul_of(ch), b_ints, 0)
-        return acc is None or not acc[2].any()
-    C, ch = _generic_charpoly(A)
-    acc = _apply_ptilde(C, ch, _chi_b(C, b), 0)
-    return all(C.field.is_zero(u) for u in acc)
+    """Whether Ax = b has a solution.  solve finds one whenever one exists,
+    so its contract check decides."""
+    try:
+        solve(A, b, method)
+    except Unsolvable:
+        return False
+    return True
 
 
 def _chi_b(C, b):
@@ -456,7 +463,7 @@ def solve(A, b, method="auto"):
         ch = _fast_charpoly(num, B)
         mul = _mul_of(ch)
         # S = sum_{j>=1} t_{j+mul} C^(j-1) w0, so v = -S w0
-        acc = _horner(num, B, ch, mul, b_ints, 1)
+        acc = _horner(num, B, ch, mul, b_ints)
         s, t0 = ch[N - mul]  # p~(0) = tau_hat X^s + higher terms
         tau_hat = int(t0[0])
         vs = [0] * N
@@ -511,20 +518,41 @@ def decompose(C, v):
 # ---------------------------------------------------------------------------
 # image basis, maximal minor, kernel basis
 
+def _independent_columns(A, method):
+    """selected[j]: whether column j of A is not a combination of the columns
+    before it, i.e. rank(A[:, :j+1]) > rank(A[:, :j]).
+
+    One Berkowitz pass over polize(M), M the columns of A in reverse order
+    taken as rows.  Its trailing block of order m+j is X^(n-j) times
+    polize of M's last j rows, the first j columns of A, so its root-0
+    multiplicity mul gives rank(A[:, :j]) = (m + j - mul) / 2."""
+    field, m = A.field, A.m
+    M = Matrix(field, A.column_list()[::-1])
+    if _use_fast(field, method):
+        num, B, _, _, _ = _sym_parts(field, M)
+        muls = map(_mul_of, _fast_trailing_charpolys(num, B))
+    else:
+        C = polize(M, PolynomialRing(field))
+        muls = (ch.root0_mul() for ch in _trailing_charpolys(C))
+    ranks = [0]
+    for order, mul in enumerate(muls, start=1):
+        if order <= m:
+            continue  # blocks inside the zero corner: no column yet
+        if (order - mul) % 2:
+            raise CertificateFailed("odd rank numerator; characteristic polynomial is corrupt")
+        ranks.append((order - mul) // 2)
+    return [r1 > r0 for r0, r1 in zip(ranks, ranks[1:])]
+
+
 def greedy_basis(A, with_coeffs=True, method="auto"):
     """Left-to-right greedy column selection: column j joins the basis iff it
-    is not a combination of the strictly earlier columns."""
+    is not a combination of the strictly earlier columns.  The selection
+    reads every prefix rank off one Berkowitz pass (_independent_columns);
+    only with_coeffs solves systems, one per unselected nonzero column."""
     field = A.field
     m, n = A.m, A.n
     cols = A.column_list()
-    selected = []
-    for j in range(n):
-        if j == 0:
-            sel = any(not field.is_zero(e) for e in cols[0])
-        else:
-            prefix = Matrix(field, [[cols[c][i] for c in range(j)] for i in range(m)])
-            sel = not solvable(prefix, cols[j], method=method)
-        selected.append(sel)
+    selected = _independent_columns(A, method)
     z = field.zero()
     basis = Matrix(field, [[cols[j][i] if selected[j] else z for j in range(n)]
                            for i in range(m)])

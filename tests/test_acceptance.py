@@ -36,3 +36,15 @@ def test_criterion_fails_under_optimize():
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True)
     assert out.stdout == "False False\n"
+
+
+def test_selftest_sample_under_optimize():
+    # solver contracts and kernel/image duality with every assert stripped
+    src = str(Path(exactla.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-O", "-m", "exactla.cli", "selftest",
+                          "--only", "4,5"],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stdout + out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 2 and all(line.startswith("PASS") for line in lines)

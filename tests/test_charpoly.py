@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from exactla import oracles
-from exactla.charpoly import (adjugate, berkowitz_col, charpoly, det, inverse,
-                              quasi_inverse)
-from exactla.errors import NonSquare, SingularMatrix
+from exactla.charpoly import (CharPoly, adjugate, berkowitz_col, charpoly, det,
+                              inverse, quasi_inverse, trailing_charpolys)
+from exactla.errors import DimensionMismatch, NonSquare, SingularMatrix
 from exactla.field import GF2, GF3, QQ
 from exactla.matrix import Matrix
 from exactla.poly import Polynomial, PolynomialRing, subst
@@ -45,6 +45,30 @@ def test_charpoly_small():
     ch = charpoly(M([[1, 2], [3, 4]]))
     assert ch.coeffs == (Fraction(1), Fraction(-5), Fraction(-2))  # Y^2-(a+d)Y+det
     assert charpoly(Matrix.zeros(QQ, 3, 3)).coeffs == (Fraction(1),) + (Fraction(0),) * 3
+
+
+def test_trailing_charpolys_are_the_block_charpolys():
+    rng = SplitMix64(41)
+    RX = PolynomialRing(QQ)
+    for field in (QQ, GF3, RX):
+        for n in range(1, 6):
+            if field is RX:
+                A = Matrix(RX, [[Polynomial(QQ, [Fraction(rng.randint(-2, 2))
+                                                 for _ in range(2)])
+                                 for _ in range(n)] for _ in range(n)])
+            else:
+                A = _rand(rng, field, n)
+            steps = list(trailing_charpolys(A))
+            assert len(steps) == n
+            for k, ch in zip(range(n, 0, -1), steps):  # block A[k:n, k:n], 1-based
+                block = charpoly(A.submatrix(range(k, n + 1), range(k, n + 1)))
+                assert ch.n == block.n == n - k + 1
+                assert all(field.eq(u, v) for u, v in zip(ch.coeffs, block.coeffs))
+
+
+def test_charpoly_length_mismatch_raises():
+    with pytest.raises(DimensionMismatch):
+        CharPoly(QQ, [Fraction(1), Fraction(0)], 2)
 
 
 def test_det_examples():

@@ -108,6 +108,17 @@ def test_sexpr_roundtrip():
         assert cc.parse_sexpr(cc.format_sexpr(f)) is f
 
 
+def test_format_deep_chain():
+    depth = 5000
+    g = cc.const(1)
+    for _ in range(depth):
+        g = g + cc.const(1)
+    text = cc.format_sexpr(g)
+    assert text == "(add " * depth + "(const 1)" + " (const 1))" * depth
+    assert repr(g) == f"Gate<{text}>"
+    assert cc.parse_sexpr(text) is g
+
+
 @pytest.mark.parametrize("bad", [
     "", "(", "(add (var x))", "(frob (var x) (var y))", "(const a)",
     "(add (var x) (var y)) junk", "(var x))", "(div (var x) (var y)",

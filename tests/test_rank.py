@@ -277,17 +277,41 @@ def test_greedy_basis_examples():
 
 
 def test_greedy_basis_factorization():
+    def check(A, methods=("fast", "generic")):
+        field = A.field
+        for method in methods:
+            sel = greedy_basis(A, method=method)
+            assert sel.basis @ sel.coeffs == A
+            # the greedy definition: column j is selected iff it is not in
+            # the span of all the columns before it
+            for j in range(1, A.n + 1):
+                cols = [A.col_vec(c) for c in range(1, j)]
+                assert sel.selected[j - 1] == (
+                    not oracles.in_span(cols, A.col_vec(j), field))
+
     rng = SplitMix64(67)
     for _ in range(40):
         field = FIELDS[rng.below(3)]
-        A = _rand(rng, field, rng.randint(1, 4), rng.randint(1, 4))
-        sel = greedy_basis(A)
-        assert sel.basis @ sel.coeffs == A
-        # selected columns are left-to-right minimal: dropping any breaks span
-        for j in sel.indices():
-            earlier = [c for c in sel.indices() if c < j]
-            cols = [A.col_vec(c) for c in earlier]
-            assert not oracles.in_span(cols, A.col_vec(j), field)
+        check(_rand(rng, field, rng.randint(1, 4), rng.randint(1, 4)))
+    check(M([[1, 1]]))  # {1}, not the right-to-left {2}
+    for field in FIELDS + (GFP,):
+        for _ in range(4):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            rows = [list(r) for r in _rand(rng, field, m, n).rows]
+            z = rng.below(n)
+            for i in range(m):  # a zero column and a repeated column
+                rows[i][z] = field.zero()
+                rows[i][-1] = rows[i][0]
+            check(Matrix(field, rows))
+        for k in (1, 3, 6):
+            check(_rand(rng, field, 1, k))
+            check(_rand(rng, field, k, 1))
+    check(Matrix(GFP, [[0, 5, 10, 7], [0, 1, 2, 3]]))
+    fx = RationalFunctionField(QQ)
+    for _ in range(3):  # F(X) entries: only the generic path applies
+        m, n = rng.randint(1, 2), rng.randint(1, 3)
+        check(Matrix(fx, [[fx.from_poly(Polynomial(QQ, _rand_vec(rng, QQ, 2)))
+                           for _ in range(n)] for _ in range(m)]), ("auto",))
 
 
 def test_minor_examples():
