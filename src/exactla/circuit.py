@@ -11,17 +11,21 @@ circuit evaluates to a nonzero field element, even if naive gate-by-gate
 evaluation would divide by zero somewhere inside.
 """
 
+import weakref
+
 from .errors import InvalidInput, MalformedInput, ZeroDenominator
 
 CONST, VAR, ADD, MUL, DIV = "const", "var", "add", "mul", "div"
 
-_INTERN = {}
+# weak: a dropped circuit leaves the table; the argument ids in a key stay
+# valid because a live gate holds its arguments
+_INTERN = weakref.WeakValueDictionary()
 
 
 class Gate:
     """One interned circuit node; the output gate stands for its whole DAG."""
 
-    __slots__ = ("kind", "payload", "args")
+    __slots__ = ("kind", "payload", "args", "__weakref__")
 
     def __init__(self, kind, payload, args):
         self.kind = kind

@@ -13,11 +13,12 @@ Entry literals depend on the field: `Q` takes integers and fractions
 comma-separated constant-first coefficient lists with an optional
 `;`-separated denominator (`1,0,-1` is 1-X^2; `1;0,1` is 1/X).  Exit
 status: 0 on success, 1 on a checked failure (unsolvable system, violated
-precondition, ...), 2 on malformed input.
+precondition, ...) or a closed stdout, 2 on malformed input.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from . import circuit as cc
@@ -467,7 +468,15 @@ def run(argv):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left (exactla ... | head): exit 1 quietly, and send the
+        # interpreter's last flush to devnull instead of the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

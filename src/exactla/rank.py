@@ -13,7 +13,8 @@ this module (elimination lives only in the test oracle).  solve finds a
 solution whenever one exists, so solvable is solve's contract check.  A
 greedy selection is one Berkowitz pass: its intermediate vectors are the
 characteristic polynomials of the trailing blocks of polize, which hold the
-rank of every column prefix of A.
+rank of every column prefix of A.  The coordinates of the other columns, and
+so the kernel basis, take one more: that of the selected columns.
 
 Two execution paths compute identical answers:
   * a generic path over a PolynomialRing instance, usable over any base
@@ -49,8 +50,7 @@ from .field import PrimeField, Rationals
 from .matrix import Matrix, mat_vec
 from .poly import Polynomial, PolynomialRing
 from .ratfunc import RationalFunctionField
-from .charpoly import (charpoly as _charpoly, inverse as _inverse,
-                       trailing_charpolys as _trailing_charpolys)
+from .charpoly import charpoly as _charpoly, trailing_charpolys as _trailing_charpolys
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +345,8 @@ def _clear_ints(field, elems):
     return [int(e * scale) for e in elems], scale
 
 
-def _sym_parts(field, A, b=None):
-    """Numeric kernel data for polize(A): (num, B, scale, b_ints, b_scale)."""
+def _sym_parts(field, A):
+    """Numeric kernel data for polize(A): (num, B, scale)."""
     m, n = A.m, A.n
     N = m + n
     ints, scale = _clear_ints(field, [e for r in A.rows for e in r])
@@ -356,11 +356,7 @@ def _sym_parts(field, A, b=None):
         for j in range(n):
             B[i, m + j] = ints[i * n + j]
             B[m + j, i] = ints[i * n + j]
-    B = num.red(B)
-    if b is None:
-        return num, B, scale, None, None
-    b_ints, b_scale = _clear_ints(field, list(b))
-    return num, B, scale, b_ints, b_scale
+    return num, num.red(B), scale
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +366,7 @@ def mulmuley_rank(A, method="auto"):
     field = A.field
     N = A.m + A.n
     if _use_fast(field, method):
-        num, B, scale, _, _ = _sym_parts(field, A)
+        num, B, scale = _sym_parts(field, A)
         ch = _fast_charpoly(num, B)
         mul = _mul_of(ch)
         report_poly = _report_polynomial(field, ch, scale)
@@ -423,12 +419,6 @@ def solvable(A, b, method="auto"):
     return True
 
 
-def _chi_b(C, b):
-    """chi_N * [b; 0] over C's ring F[X]: row i is the monomial b_i X^i."""
-    return [C.field.from_base(b[i]).shift(i) if i < len(b) else C.field.zero()
-            for i in range(C.n)]
-
-
 def _apply_ptilde(C, ch, w, last):
     """sum_{j=last}^{N-mul} t_(j+mul) C^(j-last) w by Horner over C's ring,
     where t_k is the Y^k coefficient of ch = charpoly(C) and mul its root-0
@@ -455,45 +445,57 @@ def solve(A, b, method="auto"):
     Raises Unsolvable when no solution exists."""
     if len(b) != A.m:
         raise DimensionMismatch(f"right-hand side length {len(b)} vs {A.m} rows")
+    return _solve_columns(A, [b], method)[0]
+
+
+def _solve_columns(A, bs, method):
+    """solve(A, b) for every b in bs: one characteristic polynomial of
+    polize(A), then one Horner and one contract check per b."""
     field = A.field
     m, n = A.m, A.n
     N = m + n
     if _use_fast(field, method):
-        num, B, scale, b_ints, b_scale = _sym_parts(field, A, b)
+        num, B, scale = _sym_parts(field, A)
         ch = _fast_charpoly(num, B)
         mul = _mul_of(ch)
-        # S = sum_{j>=1} t_{j+mul} C^(j-1) w0, so v = -S w0
-        acc = _horner(num, B, ch, mul, b_ints)
         s, t0 = ch[N - mul]  # p~(0) = tau_hat X^s + higher terms
         tau_hat = int(t0[0])
-        vs = [0] * N
-        if acc is not None and acc[1] <= s < acc[1] + acc[2].shape[1]:
-            rows, lo, W = acc
-            for k, i in enumerate(rows):
-                vs[i] = int(W[k, s - lo])
-        if isinstance(field, PrimeField):
-            tau_inv = field.inv(tau_hat)
-            x = [field.mul(field.neg(vs[m + i] % field.p), tau_inv) for i in range(n)]
-        else:
+
+        def particular(b):
+            b_ints, b_scale = _clear_ints(field, list(b))
+            # S = sum_{j>=1} t_{j+mul} C^(j-1) w0, so v = -S w0
+            acc = _horner(num, B, ch, mul, b_ints)
+            vs = [0] * N
+            if acc is not None and acc[1] <= s < acc[1] + acc[2].shape[1]:
+                rows, lo, W = acc
+                for k, i in enumerate(rows):
+                    vs[i] = int(W[k, s - lo])
+            if isinstance(field, PrimeField):
+                tau_inv = field.inv(tau_hat)
+                return [field.mul(field.neg(vs[m + i] % field.p), tau_inv) for i in range(n)]
             # v_hat = scale^(N-mul-1) * b_scale * v;  tau_hat = scale^(N-mul) * tau
-            x = [Fraction(-scale * vs[m + i], tau_hat * b_scale) for i in range(n)]
+            return [Fraction(-scale * vs[m + i], tau_hat * b_scale) for i in range(n)]
     else:
         C, ch = _generic_charpoly(A)
-        acc = _apply_ptilde(C, ch, _chi_b(C, b), 1)
         t0 = ch.coeff_of(ch.root0_mul())  # p~(0), a nonzero polynomial
         s = 0
         while field.is_zero(t0.coeff(s)):
             s += 1
         tau_inv = field.inv(t0.coeff(s))
-        if acc is None:
-            x = [field.zero()] * n
-        else:
-            x = [field.mul(field.neg(acc[m + i].coeff(s)), tau_inv) for i in range(n)]
+
+        def particular(b):
+            # chi_N * [b; 0]: row i is the monomial b_i X^i
+            w = [C.field.from_base(x).shift(i) for i, x in enumerate(b)]
+            acc = _apply_ptilde(C, ch, w + [C.field.zero()] * n, 1)
+            if acc is None:
+                return [field.zero()] * n
+            return [field.mul(field.neg(acc[m + i].coeff(s)), tau_inv) for i in range(n)]
+    xs = [particular(b) for b in bs]
     # contractual check: the formula only solves solvable systems
-    got = mat_vec(A, x)
-    if not all(field.eq(u, v) for u, v in zip(got, b)):
-        raise Unsolvable("no solution exists for this right-hand side")
-    return x
+    for b, x in zip(bs, xs):
+        if not all(field.eq(u, v) for u, v in zip(mat_vec(A, x), b)):
+            raise Unsolvable("no solution exists for this right-hand side")
+    return xs
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +531,7 @@ def _independent_columns(A, method):
     field, m = A.field, A.m
     M = Matrix(field, A.column_list()[::-1])
     if _use_fast(field, method):
-        num, B, _, _, _ = _sym_parts(field, M)
+        num, B, _ = _sym_parts(field, M)
         muls = map(_mul_of, _fast_trailing_charpolys(num, B))
     else:
         C = polize(M, PolynomialRing(field))
@@ -548,7 +550,8 @@ def greedy_basis(A, with_coeffs=True, method="auto"):
     """Left-to-right greedy column selection: column j joins the basis iff it
     is not a combination of the strictly earlier columns.  The selection
     reads every prefix rank off one Berkowitz pass (_independent_columns);
-    only with_coeffs solves systems, one per unselected nonzero column."""
+    with_coeffs solves the other columns against the m x r matrix of the
+    selected ones, from one more characteristic polynomial (_solve_columns)."""
     field = A.field
     m, n = A.m, A.n
     cols = A.column_list()
@@ -559,15 +562,20 @@ def greedy_basis(A, with_coeffs=True, method="auto"):
     count = sum(selected)
     coeffs = None
     if with_coeffs:
-        bcols = []
-        for j in range(n):
-            if selected[j]:
-                bcols.append([field.indicator(i == j) for i in range(n)])
-            elif all(field.is_zero(e) for e in cols[j]):
-                bcols.append([z] * n)
-            else:
-                bcols.append(solve(basis, cols[j], method=method))
-        coeffs = Matrix(field, [[bcols[j][i] for j in range(n)] for i in range(n)])
+        rows = [[field.indicator(selected[j] and i == j) for j in range(n)]
+                for i in range(n)]
+        picked = [j for j in range(n) if selected[j]]
+        rest = [j for j in range(n) if not selected[j]]
+        if picked and rest:
+            S = Matrix(field, [[cols[j][i] for j in picked] for i in range(m)])
+            try:
+                xs = _solve_columns(S, [cols[j] for j in rest], method)
+            except Unsolvable as exc:
+                raise CertificateFailed("basis coefficients failed their check") from exc
+            for j, x in zip(rest, xs):
+                for i, c in zip(picked, x):
+                    rows[i][j] = c
+        coeffs = Matrix(field, rows)
         if A != basis @ coeffs:
             raise CertificateFailed("basis reconstruction failed")
     return BasisSelection(selected, basis, count, coeffs)
@@ -586,28 +594,13 @@ def max_nonsingular_minor(A, method="auto"):
 def kernel_basis(A, method="auto"):
     """Basis of ker(A) as a list of n-vectors (n - rank of them).
 
-    Built from a maximal nonsingular minor M = A[U:V]: for each column c
-    outside V, solve M w = A[U, c] and place w at positions V, -1 at c.
-    """
-    field = A.field
-    m, n = A.m, A.n
-    col_sel = greedy_basis(A, with_coeffs=False, method=method)
-    r = col_sel.count
-    if r == 0:
+    For each column c outside the greedy basis: column c of its coefficients
+    (c's coordinates over the basis columns) with -1 at c.  The zero matrix
+    gives the unit vectors."""
+    field, n = A.field, A.n
+    sel = greedy_basis(A, method=method)
+    if sel.count == 0:
         return [[field.indicator(i == j) for i in range(n)] for j in range(n)]
-    row_sel = greedy_basis(A.transpose(), with_coeffs=False, method=method)
-    U, V = row_sel.indices(), col_sel.indices()
-    M = A.submatrix(U, V)
-    M_inv = _inverse(M)
-    out = []
-    for c in range(1, n + 1):
-        if c in V:
-            continue
-        y = [A.at(i, c) for i in U]
-        w = mat_vec(M_inv, y)
-        vec = [field.zero()] * n
-        for t, j in enumerate(V):
-            vec[j - 1] = w[t]
-        vec[c - 1] = field.neg(field.one())
-        out.append(vec)
-    return out
+    minus_one = field.neg(field.one())
+    return [[minus_one if i == c else sel.coeffs.rows[i][c] for i in range(n)]
+            for c in range(n) if not sel.selected[c]]

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,19 @@ def test_hash_consing():
     assert cc.var("x") is x
     assert (x + y) is (x + y)
     assert cc.parse_sexpr("(add (var x) (var y))") is (x + y)
+
+
+def test_intern_table_forgets_dropped_circuits():
+    gc.collect()
+    before = len(cc._INTERN)
+    g = cc.var("dropped")
+    for k in range(3000):
+        g = g + cc.const(k)
+    assert len(cc._INTERN) >= before + 3000
+    assert cc.parse_sexpr(cc.format_sexpr(g)) is g  # still hash-consed
+    del g
+    gc.collect()
+    assert len(cc._INTERN) == before
 
 
 def test_gate_count_shares_subcircuits():

@@ -1,9 +1,13 @@
 import importlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import exactla
 from exactla.cli import (format_entry, format_matrix, parse_entry,
                          parse_field, parse_matrix, parse_set_family,
                          parse_vector, run)
@@ -113,6 +117,23 @@ def test_exit_code_corrupt_kernel(tmp_path, capsys, monkeypatch):
     assert run(["rank", A]) == 1
     err = capsys.readouterr().err
     assert "CertificateFailed" in err and "odd rank numerator" in err
+
+
+@pytest.mark.parametrize("argv", [["det", "A.txt"], ["ramsey", "--k", "3"]])
+def test_broken_pipe_exits_quietly(tmp_path, argv):
+    # the reader of stdout is gone before the command writes: exit 1, no traceback
+    _write(tmp_path, "A.txt", "2 2\n1 2\n3 4\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(exactla.__file__)))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        out = subprocess.run([sys.executable, "-m", "exactla.cli", *argv],
+                             stdout=w, stderr=subprocess.PIPE, cwd=tmp_path,
+                             env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    finally:
+        os.close(w)
+    assert out.returncode == 1
+    assert out.stderr == b""
 
 
 def test_circuit_eval_deep_nesting(tmp_path, capsys):

@@ -1,5 +1,7 @@
+import importlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from exactla import oracles
@@ -314,6 +316,29 @@ def test_greedy_basis_factorization():
                            for _ in range(n)] for _ in range(m)]), ("auto",))
 
 
+def test_greedy_basis_coefficients_take_one_charpoly(monkeypatch):
+    # one pass selects, one charpoly of the selected columns solves every
+    # unselected column
+    kernel = importlib.import_module("exactla.rank")
+    passes = []
+    trailing = kernel._fast_trailing_charpolys
+
+    def counted(num, B):
+        passes.append(B.shape[0])
+        return trailing(num, B)
+
+    monkeypatch.setattr(kernel, "_fast_trailing_charpolys", counted)
+    A = M([[1, 0, 0, 0, 1, 0, 1],
+           [0, 1, 0, 0, 1, 0, 0],
+           [0, 0, 1, 0, 0, 2, 0],
+           [0, 0, 0, 1, 0, -1, 1],
+           [1, 1, 1, 1, 2, 1, 2]])
+    sel = greedy_basis(A)
+    assert sel.indices() == [1, 2, 3, 4]
+    assert passes == [5 + 7, 5 + 4]
+    assert sel.basis @ sel.coeffs == A
+
+
 def test_minor_examples():
     sel = max_nonsingular_minor(Matrix.identity(QQ, 3))
     assert sel.U == [1, 2, 3] and sel.V == [1, 2, 3]
@@ -353,6 +378,69 @@ def test_kernel_examples():
     assert kb[0][0] * Fraction(-1) == kb[0][1] * Fraction(2) or kb[0] != [0, 0]
     kb = kernel_basis(Matrix.zeros(QQ, 2, 3))
     assert len(kb) == 3
+
+
+def test_kernel_vectors_are_basis_coordinates():
+    # vector c: the unique coordinates of column c over the greedy basis
+    # columns (by elimination), -1 at c and 0 elsewhere
+    def check(A, methods=("fast", "generic")):
+        field = A.field
+        cols = A.column_list()
+        picked = [j for j in range(A.n)
+                  if not oracles.in_span(cols[:j], cols[j], field)]
+        if not picked:  # the zero matrix: the unit vectors
+            want = [[field.indicator(i == j) for i in range(A.n)] for j in range(A.n)]
+        else:
+            S = Matrix(field, [[cols[j][i] for j in picked] for i in range(A.m)])
+            want = []
+            for c in range(A.n):
+                if c in picked:
+                    continue
+                vec = [field.zero()] * A.n
+                for j, x in zip(picked, oracles.gauss_solve(S, cols[c])):
+                    vec[j] = x
+                vec[c] = field.neg(field.one())
+                want.append(vec)
+        for method in methods:
+            got = kernel_basis(A, method=method)
+            assert len(got) == len(want)
+            for u, v in zip(got, want):
+                assert all(field.eq(x, y) for x, y in zip(u, v))
+
+    rng = SplitMix64(79)
+    for field in FIELDS + (GFP,):
+        for _ in range(6):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            rows = [list(r) for r in _rand(rng, field, m, n).rows]
+            z = rng.below(n)
+            for i in range(m):  # a zero column and a repeated column
+                rows[i][z] = field.zero()
+                rows[i][-1] = rows[i][0]
+            check(Matrix(field, rows))
+            check(_rand(rng, field, rng.randint(1, 6), rng.randint(1, 6)))
+        check(Matrix.zeros(field, 2, 3))
+    fx = RationalFunctionField(QQ)
+    x1 = fx.from_poly(Polynomial(QQ, [Fraction(1), Fraction(1)]))
+    x2 = fx.from_poly(Polynomial(QQ, [Fraction(0), Fraction(2)]))
+    one = fx.one()
+    check(Matrix(fx, [[x1, x2, fx.add(x1, x2)], [one, x1, fx.add(one, x1)]]),
+          ("auto",))
+    check(Matrix(fx, [[x1, fx.mul(x1, x2)], [one, x2]]), ("auto",))
+    check(Matrix.zeros(fx, 2, 2), ("auto",))
+
+
+def test_kernel_checks_its_coefficients(tmp_path, capsys, monkeypatch):
+    # kernel vectors come out of checked solves: a corrupt charpoly fails
+    # the command (exit 1) instead of printing unchecked vectors
+    from exactla.cli import run
+    kernel = importlib.import_module("exactla.rank")
+    one = (0, np.ones(1, dtype=object))
+    monkeypatch.setattr(kernel, "_fast_charpoly",
+                        lambda num, B: [one] * B.shape[0] + [None])
+    path = tmp_path / "A.txt"
+    path.write_text("1 2\n1 1\n")
+    assert run(["kernel", str(path)]) == 1
+    assert "CertificateFailed" in capsys.readouterr().err
 
 
 def test_kernel_spans_oracle_kernel():
