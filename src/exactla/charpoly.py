@@ -3,7 +3,8 @@
 The characteristic polynomial is computed as a product of lower-triangular
 Toeplitz "column" matrices Col(1,A)...Col(n,A), each built from a trailing
 principal submatrix and its first-row/first-column borders.  Only ring
-operations are used, so the same code runs over Q, GF(p), F[X] and F(X).
+operations are used, so one loop (_berkowitz) serves every ring: Q, GF(p),
+F[X], F(X) and the fast rank kernel's trimmed X-polynomials (rank._Num).
 
 The product is associated right-to-left: a column matrix times a vector is a
 truncated convolution of first columns, which avoids materializing the
@@ -88,23 +89,27 @@ def berkowitz_col(k, A):
                        for j in range(n - k + 1)] for i in range(n - k + 2)])
 
 
+def _berkowitz(R, n, first_column):
+    """Yield the CharPoly over ring R of every trailing principal block of an
+    order-n matrix, the 1x1 corner first, from first_column(k), the first
+    column of Col(k) (1-based k, length n-k+2).  Each step multiplies by that
+    lower-triangular Toeplitz matrix: a truncated convolution."""
+    v = first_column(n)
+    yield CharPoly(R, v, 1)
+    for k in range(n - 1, 0, -1):
+        c = first_column(k)
+        v = [R.sum(R.mul(c[i - j], v[j]) for j in range(min(i, len(v) - 1) + 1))
+             for i in range(len(c))]
+        yield CharPoly(R, v, n - k + 1)
+
+
 def trailing_charpolys(A):
     """Yield the CharPoly of every trailing principal submatrix, rows and
     columns k..n (1-based) for k = n, n-1, ..., 1: the 1x1 corner first,
     A itself last."""
     if not A.is_square():
         raise NonSquare("characteristic polynomial needs a square matrix")
-    F = A.field
-    n = A.n
-    v = _col_first_column(A, n)
-    yield CharPoly(F, v, 1)
-    for k in range(n - 1, 0, -1):
-        c = _col_first_column(A, k)
-        out_len = n - k + 2
-        v = [F.sum(F.mul(c[i - j], v[j])
-                   for j in range(max(0, i - len(c) + 1), min(i, len(v) - 1) + 1))
-             for i in range(out_len)]
-        yield CharPoly(F, v, n - k + 1)
+    return _berkowitz(A.field, A.n, lambda k: _col_first_column(A, k))
 
 
 def charpoly(A):

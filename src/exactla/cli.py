@@ -8,8 +8,9 @@ set family  line 1: `n m`; then m lines of n bits
 bicliques   line 1: `n k`; then k lines `a b ... | c d ...` (1-based vertices)
 circuit     one s-expression, e.g. `(add (div (var x) (var y)) (const 1))`
 
-Entry literals depend on the field: `Q` takes integers and fractions
-(`-3`, `1/2`), `GF<p>` takes integers, and `Q(X)` / `GF<p>(X)` take
+Entry literals depend on the field: `Q` takes integers, fractions and
+decimals without exponents (`-3`, `1/2`, `0.25`), `GF<p>` (p a prime below
+3.3e24) takes integers, and `Q(X)` / `GF<p>(X)` take
 comma-separated constant-first coefficient lists with an optional
 `;`-separated denominator (`1,0,-1` is 1-X^2; `1;0,1` is 1/X).  Exit
 status: 0 on success, 1 on a checked failure (unsolvable system, violated
@@ -31,7 +32,7 @@ from .poly import PolynomialRing
 from .rank import (count_nonzero, greedy_basis, iota, kernel_basis,
                    max_nonsingular_minor, mulmuley_rank, solve)
 from .ratfunc import RationalFunctionField
-from .selftest import run_all
+from .selftest import CRITERIA, run_all
 
 
 def parse_field(selector):
@@ -369,7 +370,15 @@ def _cmd_ramsey(args):
 
 
 def _cmd_selftest(args):
-    only = {int(t) for t in args.only.split(",")} if args.only else None
+    only = None
+    if args.only:
+        try:
+            only = {int(t) for t in args.only.split(",")}
+        except ValueError:
+            raise InvalidInput(f"bad criterion list {args.only!r}") from None
+        unknown = only - {num for num, *_ in CRITERIA}
+        if unknown:
+            raise InvalidInput(f"unknown criterion {min(unknown)} (1 to {len(CRITERIA)})")
     ok = run_all(seed=args.seed, only=only)
     return 0 if ok else 1
 

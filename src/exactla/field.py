@@ -130,6 +130,9 @@ class Rationals(Field):
 
     def parse(self, text):
         text = text.strip()
+        if "e" in text or "E" in text:
+            # Fraction would build 10**exponent, however large
+            raise InvalidInput(f"bad rational literal {text!r} (no exponents)")
         try:
             value = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
@@ -144,8 +147,8 @@ class PrimeField(Field):
     """GF(p); elements are plain ints in [0, p)."""
 
     def __init__(self, p: int):
-        if p < 2 or not _is_prime(p):
-            raise InvalidInput(f"modulus {p} is not prime")
+        if not 2 <= p < _MR_BOUND or not _is_prime(p):
+            raise InvalidInput(f"modulus {p} is not a prime below {_MR_BOUND}")
         self.p = p
         self.name = f"GF{p}"
 
@@ -190,17 +193,32 @@ class PrimeField(Field):
         return range(self.p)
 
 
+# Miller-Rabin to the prime bases up to 41 decides primality for every
+# n < _MR_BOUND (Sorenson and Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    # trial division; moduli at CLI scale only
+    """Deterministic for n < _MR_BOUND."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -30,13 +30,14 @@ Two execution paths compute identical answers:
 
 The fast kernel stores each X-polynomial trimmed, as (offset, array) with
 nonzero end coefficients, or None for zero, and each vector of them as its
-possibly nonzero rows over one X-span.  B is bipartite, so half of every
-Berkowitz vector and first column is zero, and low X-degrees start out
-empty: the Toeplitz combine convolves only pairs of nonzero operands, and
-the first-column matvecs multiply only the rows a vector occupies and the
-rows of B they reach.  solve's Horner helper applies p~(C) to
-chi * [b;0], whose row i is the monomial b_i X^i, so each
-scalar-times-vector step is a shift and scale.
+possibly nonzero rows over one X-span.  The X-polynomials are a ring (_Num)
+run through charpoly.py's one Berkowitz loop, so both paths yield CharPoly
+values.  B is bipartite, so half of every Berkowitz vector and first column
+is zero, and low X-degrees start out empty: the Toeplitz combine convolves
+only pairs of nonzero operands, and the first-column matvecs multiply only
+the rows a vector occupies and the rows of B they reach.  solve's Horner
+helper applies p~(C) to chi * [b;0], whose row i is the monomial b_i X^i, so
+each scalar-times-vector step is a shift and scale.
 """
 
 from fractions import Fraction
@@ -46,11 +47,12 @@ import numpy as np
 
 from .errors import (CertificateFailed, DimensionMismatch, IndexOutOfRange,
                      InvalidInput, Unsolvable, ZeroMatrix)
-from .field import PrimeField, Rationals
+from .field import PrimeField, Rationals, Ring
 from .matrix import Matrix, mat_vec
 from .poly import Polynomial, PolynomialRing
 from .ratfunc import RationalFunctionField
-from .charpoly import charpoly as _charpoly, trailing_charpolys as _trailing_charpolys
+from .charpoly import (_berkowitz, charpoly as _charpoly,
+                       trailing_charpolys as _trailing_charpolys)
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +173,10 @@ class MinorSelection:
 # a triple (rows, lo, W) or None: rows are the indices of its possibly
 # nonzero entries, and entry rows[k] is sum_j W[k, j] X^(lo+j).
 
-class _Num:
-    """Coefficient arithmetic on 1-D/2-D numpy arrays: plain Python ints
-    (object dtype) or residues mod p (int64 when no sum can overflow)."""
+class _Num(Ring):
+    """The ring of trimmed X-polynomials, zero None, over 1-D/2-D numpy
+    arrays of plain Python ints (object dtype) or residues mod p (int64 when
+    no sum can overflow)."""
 
     def __init__(self, p, N):
         self.p = p
@@ -194,6 +197,33 @@ class _Num:
     def matmul(self, A, w):
         return self.red(A.dot(w))
 
+    def zero(self):
+        return None
+
+    def is_zero(self, x):
+        return x is None
+
+    def mul(self, x, y):
+        """Product, itself trimmed (the coefficient rings are integral
+        domains); a monomial factor is a shift-and-scale instead of a
+        convolution."""
+        if x is None or y is None:
+            return None
+        (ox, a), (oy, b) = x, y
+        if len(a) == 1 or len(b) == 1:
+            return ox + oy, self.red(a * b)
+        return ox + oy, self.red(np.convolve(a, b))
+
+    def sum(self, items):
+        terms = [t for t in items if t is not None]
+        if len(terms) <= 1:
+            return terms[0] if terms else None
+        lo = min(o for o, _ in terms)
+        acc = self.zeros(max(o + len(a) for o, a in terms) - lo)
+        for o, a in terms:
+            acc[o - lo:o - lo + len(a)] += a
+        return _trim(lo, self.red(acc))
+
 
 def _trim(off, a):
     """The trimmed pair for sum_k a[k] X^(off+k), or None if a is zero."""
@@ -201,27 +231,6 @@ def _trim(off, a):
     if not len(nz):
         return None
     return off + int(nz[0]), a[nz[0]:nz[-1] + 1]
-
-
-def _pmul(num, x, y):
-    """Product of two nonzero trimmed X-polynomials, itself trimmed (the
-    coefficient rings are integral domains); a monomial factor is a
-    shift-and-scale instead of a convolution."""
-    (ox, a), (oy, b) = x, y
-    if len(a) == 1 or len(b) == 1:
-        return ox + oy, num.red(a * b)
-    return ox + oy, num.red(np.convolve(a, b))
-
-
-def _psum(num, terms):
-    """Sum of trimmed X-polynomials."""
-    if len(terms) <= 1:
-        return terms[0] if terms else None
-    lo = min(o for o, _ in terms)
-    acc = num.zeros(max(o + len(a) for o, a in terms) - lo)
-    for o, a in terms:
-        acc[o - lo:o - lo + len(a)] += a
-    return _trim(lo, num.red(acc))
 
 
 def _stagger(num, rows, lo, U):
@@ -278,51 +287,33 @@ def _fast_first_column(num, B, k0):
 
 
 def _fast_trailing_charpolys(num, B):
-    """Yield the leading-first Y-coefficients (as trimmed X-polynomials) of
-    the characteristic polynomial of every trailing principal block of
-    C = diag(X^0..X^(N-1)) * B, the 1x1 corner first and C itself last.
-    Each Berkowitz step multiplies by a lower-triangular Toeplitz matrix
-    with first column c; only pairs of nonzero operands are convolved."""
-    N = B.shape[0]
-    v = _fast_first_column(num, B, N - 1)
-    yield v
-    for k0 in range(N - 2, -1, -1):
-        c = _fast_first_column(num, B, k0)
-        nz = [a for a, x in enumerate(c) if x is not None]
-        v = [_psum(num, [_pmul(num, c[a], v[i - a]) for a in nz
-                         if a <= i < a + len(v) and v[i - a] is not None])
-             for i in range(len(c))]
-        yield v
+    """Yield the CharPoly over num of every trailing principal block of
+    C = diag(X^0..X^(N-1)) * B, the 1x1 corner first and C itself last."""
+    return _berkowitz(num, B.shape[0], lambda k: _fast_first_column(num, B, k - 1))
 
 
 def _fast_charpoly(num, B):
     """The last value of _fast_trailing_charpolys: the charpoly of C."""
-    for v in _fast_trailing_charpolys(num, B):
+    for ch in _fast_trailing_charpolys(num, B):
         pass
-    return v
+    return ch
 
 
-def _mul_of(ch):
-    """Multiplicity of the root 0: trailing all-zero Y-coefficients."""
-    mul = 0
-    while mul < len(ch) and ch[len(ch) - 1 - mul] is None:
-        mul += 1
-    return mul
-
-
-def _horner(num, B, ch, mul, b_ints):
+def _horner(num, B, ch, b_ints):
     """sum_{j=1}^{N-mul} t_(j+mul) C^(j-1) w0 by Horner, where
-    C = diag(X^0..X^(N-1)) * B, t_k = ch[N-k] and w0 = chi_N * [b; 0].
+    C = diag(X^0..X^(N-1)) * B, t_k is the Y^k coefficient of ch = charpoly(C),
+    mul its root-0 multiplicity and w0 = chi_N * [b; 0].
     Row i of w0 is the monomial b_i X^i, so t * w0 is t shifted and scaled
     row by row.  Returns a vector in the kernel's (rows, lo, W) form."""
     N = B.shape[0]
+    mul = ch.root0_mul()
     brows = np.array([i for i, x in enumerate(b_ints) if x], dtype=np.intp)
     bvals = np.array([b_ints[i] for i in brows], dtype=num.dtype)
     acc = None
     for j in range(N - mul, 0, -1):
         if acc is not None:
             acc = _matvec(num, B, 0, acc)
-        t = ch[N - (j + mul)]
+        t = ch.coeff_of(j + mul)
         if t is not None and len(brows):
             term = _stagger(num, brows, t[0], num.red(np.multiply.outer(bvals, t[1])))
             acc = term if acc is None else _vadd(num, acc, term)
@@ -364,20 +355,23 @@ def _sym_parts(field, A):
 
 def mulmuley_rank(A, method="auto"):
     field = A.field
-    N = A.m + A.n
     if _use_fast(field, method):
         num, B, scale = _sym_parts(field, A)
         ch = _fast_charpoly(num, B)
-        mul = _mul_of(ch)
         report_poly = _report_polynomial(field, ch, scale)
     else:
         _, ch = _generic_charpoly(A)
-        mul = ch.root0_mul()
         fx = RationalFunctionField(field)
         report_poly = Polynomial(fx, [fx.from_poly(c) for c in ch.constant_first()])
-    if (N - mul) % 2:
+    mul = ch.root0_mul()
+    return RankReport(A.m, A.n, report_poly, mul, _rank_of(A.m + A.n, mul))
+
+
+def _rank_of(order, mul):
+    """Rank from the root-0 multiplicity of the charpoly of a polize of this order."""
+    if (order - mul) % 2:
         raise CertificateFailed("odd rank numerator; characteristic polynomial is corrupt")
-    return RankReport(A.m, A.n, report_poly, mul, (N - mul) // 2)
+    return (order - mul) // 2
 
 
 def _generic_charpoly(A):
@@ -390,10 +384,10 @@ def _report_polynomial(field, ch, scale):
     """Exact charpoly of polize(A) over F(X) from the (possibly scaled)
     integer coefficients: t_i(cC) = c^(N-i) t_i(C)."""
     fx = RationalFunctionField(field)
-    N = len(ch) - 1
+    N = ch.n
     coeffs = []  # constant-first in Y
     for i in range(N + 1):
-        off, arr = ch[N - i] or (0, ())
+        off, arr = ch.coeff_of(i) or (0, ())
         if scale == 1:
             vals = [field.from_int(int(c)) for c in arr]
         else:
@@ -457,14 +451,13 @@ def _solve_columns(A, bs, method):
     if _use_fast(field, method):
         num, B, scale = _sym_parts(field, A)
         ch = _fast_charpoly(num, B)
-        mul = _mul_of(ch)
-        s, t0 = ch[N - mul]  # p~(0) = tau_hat X^s + higher terms
+        s, t0 = ch.coeff_of(ch.root0_mul())  # p~(0) = tau_hat X^s + higher terms
         tau_hat = int(t0[0])
 
         def particular(b):
             b_ints, b_scale = _clear_ints(field, list(b))
             # S = sum_{j>=1} t_{j+mul} C^(j-1) w0, so v = -S w0
-            acc = _horner(num, B, ch, mul, b_ints)
+            acc = _horner(num, B, ch, b_ints)
             vs = [0] * N
             if acc is not None and acc[1] <= s < acc[1] + acc[2].shape[1]:
                 rows, lo, W = acc
@@ -531,18 +524,11 @@ def _independent_columns(A, method):
     field, m = A.field, A.m
     M = Matrix(field, A.column_list()[::-1])
     if _use_fast(field, method):
-        num, B, _ = _sym_parts(field, M)
-        muls = map(_mul_of, _fast_trailing_charpolys(num, B))
+        chs = _fast_trailing_charpolys(*_sym_parts(field, M)[:2])
     else:
-        C = polize(M, PolynomialRing(field))
-        muls = (ch.root0_mul() for ch in _trailing_charpolys(C))
-    ranks = [0]
-    for order, mul in enumerate(muls, start=1):
-        if order <= m:
-            continue  # blocks inside the zero corner: no column yet
-        if (order - mul) % 2:
-            raise CertificateFailed("odd rank numerator; characteristic polynomial is corrupt")
-        ranks.append((order - mul) // 2)
+        chs = _trailing_charpolys(polize(M, PolynomialRing(field)))
+    # blocks of order <= m lie inside the zero corner: no column yet
+    ranks = [0] + [_rank_of(ch.n, ch.root0_mul()) for ch in chs if ch.n > m]
     return [r1 > r0 for r0, r1 in zip(ranks, ranks[1:])]
 
 

@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import exactla
+from exactla.charpoly import CharPoly
 from exactla.cli import (format_entry, format_matrix, parse_entry,
                          parse_field, parse_matrix, parse_set_family,
                          parse_vector, run)
@@ -111,8 +113,8 @@ def test_exit_code_corrupt_kernel(tmp_path, capsys, monkeypatch):
     # failed certificate (exit 1), not malformed input (exit 2)
     kernel = importlib.import_module("exactla.rank")  # the package re-exports rank()
     one = (0, np.ones(1, dtype=object))
-    monkeypatch.setattr(kernel, "_fast_charpoly",
-                        lambda num, B: [one] * B.shape[0] + [None])
+    monkeypatch.setattr(kernel, "_fast_charpoly", lambda num, B: CharPoly(
+        num, [one] * B.shape[0] + [None], B.shape[0]))
     A = _write(tmp_path, "A.txt", "1 1\n1\n")
     assert run(["rank", A]) == 1
     err = capsys.readouterr().err
@@ -148,6 +150,35 @@ def test_exit_code_malformed(tmp_path, capsys):
     assert run(["det", bad]) == 2
     missing = str(tmp_path / "nope.txt")
     assert run(["det", missing]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["ramsey", "--k", "-1"],
+    ["ramsey", "--k", "1000000"],  # k^k would take seconds, then fail to print
+    ["ramsey", "--k", "2", "--cap", "0"],
+    ["ramsey", "--k", "2", "--cap", "-3"],
+    ["selftest", "--only", "x"],
+    ["selftest", "--only", "99"],
+    ["det", "big.txt"],  # Fraction would build 10**999999999
+    ["det", "--field", "GF100000000900000000513", "A.txt"],  # (10^10+19)(10^10+33)
+    ["det", "--field", "GF3317044064679887385962123", "A.txt"],  # prime, above the bound
+])
+def test_bad_arguments_exit_2_quickly(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path, "A.txt", "2 2\n1 2\n3 4\n")
+    _write(tmp_path, "big.txt", "1 1\n1e999999999\n")
+    start = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_large_prime_modulus(tmp_path, capsys):
+    A = _write(tmp_path, "A.txt", "2 2\n1 2\n3 4\n")
+    p = 10 ** 20 + 39
+    assert run(["det", "--field", f"GF{p}", A]) == 0
+    assert capsys.readouterr().out == f"{p - 2}\n"
 
 
 def test_charpoly_and_solve_text(tmp_path, capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from exactla.errors import DivisionByZero, InvalidInput
-from exactla.field import GF2, GF3, QQ, PrimeField, Rationals
+from exactla.field import GF2, GF3, QQ, PrimeField, Rationals, _is_prime
 from exactla.matrix import Matrix
 from exactla.rng import SplitMix64
 
@@ -80,6 +80,22 @@ def test_prime_modulus_checked():
     with pytest.raises(InvalidInput):
         PrimeField(1)
     assert PrimeField(2) == GF2
+    assert PrimeField(10 ** 20 + 39).p == 10 ** 20 + 39
+    with pytest.raises(InvalidInput):  # prime, but above the Miller-Rabin bound
+        PrimeField(3317044064679887385962123)
+
+
+def test_is_prime_agrees_with_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    sieve = [False, False] + [True] * (10 ** 5 - 2)
+    for d in range(2, 317):
+        if sieve[d]:
+            sieve[d * d::d] = [False] * len(sieve[d * d::d])
+    assert [_is_prime(n) for n in range(10 ** 5)] == sieve
+    for n in (561, 41041, 825265, 915690077, 915690137):  # Carmichael, then primes
+        assert _is_prime(n) == trial(n)
 
 
 def test_parse_format_roundtrip():
@@ -92,6 +108,10 @@ def test_parse_format_roundtrip():
             assert F.eq(F.parse(F.format(a)), a)
     with pytest.raises(InvalidInput):
         QQ.parse("1/0")
+    assert QQ.parse("-0.25") == Fraction(-1, 4)
+    for text in ("1e3", "1E-2", "1e999999999"):
+        with pytest.raises(InvalidInput):
+            QQ.parse(text)
     with pytest.raises(InvalidInput):
         GF3.parse("two")
 

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from exactla import oracles
+from exactla.charpoly import CharPoly, trailing_charpolys
 from exactla.errors import InvalidInput, Unsolvable, ZeroMatrix
 from exactla.field import GF2, GF3, QQ, PrimeField
 from exactla.matrix import Matrix, mat_vec
-from exactla.poly import Polynomial
+from exactla.poly import Polynomial, PolynomialRing
 from exactla.rank import (chi_matrix, count_nonzero, decompose, greedy_basis,
                           iota, kernel_basis, max_nonsingular_minor,
                           mulmuley_rank, polize, rank, solvable, solve, symm)
@@ -117,6 +118,31 @@ def test_rank_methods_agree():
         for k in (2, 5):
             check(_rand(rng, field, 1, k))
             check(_rand(rng, field, k, 1))
+
+
+def test_fast_pass_equals_generic_on_every_block():
+    # mulmuley_rank compares only the last block exactly; the earlier blocks
+    # carry the prefix ranks of a selection
+    kernel = importlib.import_module("exactla.rank")
+    rng = SplitMix64(101)
+    cases = [_rand(rng, field, m, n) for field in FIELDS + (GFP,)
+             for m, n in ((1, 1), (2, 3), (3, 2), (4, 4), (5, 6))]
+    rows = [[rng.randint(-3, 3) for _ in range(6)] for _ in range(5)]
+    rows[2] = [0] * 6
+    for r in rows:
+        r[4] = 0
+    cases.append(Matrix.from_ints(QQ, rows))
+    for A in cases:
+        F = A.field
+        fast = list(kernel._fast_trailing_charpolys(*kernel._sym_parts(F, A)[:2]))
+        generic = list(trailing_charpolys(polize(A, PolynomialRing(F))))
+        orders = list(range(1, A.m + A.n + 1))
+        assert [ch.n for ch in fast] == [ch.n for ch in generic] == orders
+        for f, g in zip(fast, generic):
+            for x, want in zip(f.coeffs, g.coeffs):
+                off, arr = x or (0, ())
+                got = [F.zero()] * off + [F.from_int(int(c)) for c in arr]
+                assert Polynomial(F, got) == want
 
 
 def test_method_dispatch():
@@ -435,8 +461,8 @@ def test_kernel_checks_its_coefficients(tmp_path, capsys, monkeypatch):
     from exactla.cli import run
     kernel = importlib.import_module("exactla.rank")
     one = (0, np.ones(1, dtype=object))
-    monkeypatch.setattr(kernel, "_fast_charpoly",
-                        lambda num, B: [one] * B.shape[0] + [None])
+    monkeypatch.setattr(kernel, "_fast_charpoly", lambda num, B: CharPoly(
+        num, [one] * B.shape[0] + [None], B.shape[0]))
     path = tmp_path / "A.txt"
     path.write_text("1 2\n1 1\n")
     assert run(["kernel", str(path)]) == 1
