@@ -13,9 +13,13 @@ evaluation would divide by zero somewhere inside.
 
 import weakref
 
-from .errors import InvalidInput, MalformedInput, ZeroDenominator
+from .errors import InvalidInput, MalformedInput, SizeExceeded, ZeroDenominator
 
 CONST, VAR, ADD, MUL, DIV = "const", "var", "add", "mul", "div"
+
+# the s-expression writes a shared DAG out as a tree, whose size can be
+# exponential in the gate count: format_sexpr refuses trees above this
+MAX_SEXPR_NODES = 10 ** 6
 
 # weak: a dropped circuit leaves the table; the argument ids in a key stay
 # valid because a live gate holds its arguments
@@ -42,7 +46,10 @@ class Gate:
         return div(self, other)
 
     def __repr__(self):
-        return f"Gate<{format_sexpr(self)}>"
+        try:
+            return f"Gate<{format_sexpr(self)}>"
+        except SizeExceeded:
+            return f"Gate<{self.kind}, {gate_count(self)} gates>"
 
 
 def _intern(kind, payload, args):
@@ -184,9 +191,21 @@ def eval_direct(root, field, assignment):
 # ---------------------------------------------------------------------------
 # s-expression text form: (add (div (var x) (var y)) (const 1))
 
+def _tree_size(root):
+    """Node count of root's DAG written out as a tree, counted on the DAG."""
+    size = {}
+    for g in _postorder(root):
+        size[id(g)] = 1 + sum(size[id(a)] for a in g.args)
+    return size[id(root)]
+
+
 def format_sexpr(root):
     """The s-expression of root, written out as a tree, without recursion:
-    the text still to write after a gate's left argument waits on a stack."""
+    the text still to write after a gate's left argument waits on a stack.
+    Raises SizeExceeded if that tree has more than MAX_SEXPR_NODES nodes."""
+    nodes = _tree_size(root)
+    if nodes > MAX_SEXPR_NODES:
+        raise SizeExceeded(f"s-expression of {nodes} nodes exceeds {MAX_SEXPR_NODES}")
     parts, stack = [], [root]
     while stack:
         g = stack.pop()

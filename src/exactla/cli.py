@@ -18,6 +18,7 @@ precondition, ...) or a closed stdout, 2 on malformed input.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -385,7 +386,11 @@ def _cmd_selftest(args):
 
 # --- driver -----------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The argparse parser of every command, built once per process and
+    shared by every run() call: parse_args makes a new Namespace each time,
+    and --assign's append action copies its default before appending."""
     top = argparse.ArgumentParser(
         prog="exactla",
         description="Exact linear algebra over pluggable computable fields.")

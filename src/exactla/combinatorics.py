@@ -404,6 +404,8 @@ def or_poly_mod_pe(k, p, e):
     """Coefficients of a degree < p^e symmetric polynomial f with
     f(j) = 0 iff j = 0 mod p^e, solved with this library's own solver over
     GF(p) on the window j = 0..p^e-1."""
+    if k < 0 or e < 1:
+        raise InvalidInput(f"need k >= 0 and e >= 1, got k = {k}, e = {e}")
     q = p ** e
     if q > 16:
         raise InvalidInput(f"modulus {q} above the supported range")

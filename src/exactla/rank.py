@@ -180,6 +180,7 @@ class _Num(Ring):
 
     def __init__(self, p, N):
         self.p = p
+        self.name = "Z[X]" if p is None else f"GF{p}[X]"
         # each entry is a sum of at most N products (matvec) or of at most
         # N(N-1)/2 + 1 products (convolution with a charpoly coefficient, whose
         # X-degree is at most N(N-1)/2), each product below (p-1)^2
@@ -223,6 +224,13 @@ class _Num(Ring):
         for o, a in terms:
             acc[o - lo:o - lo + len(a)] += a
         return _trim(lo, self.red(acc))
+
+    def format(self, x):
+        """Constant-first coefficients, as PolynomialRing.format writes them."""
+        if x is None:
+            return "0"
+        off, a = x
+        return " ".join(["0"] * off + [str(c) for c in a])
 
 
 def _trim(off, a):

@@ -1,10 +1,11 @@
 import gc
+import time
 from fractions import Fraction
 
 import pytest
 
 from exactla import circuit as cc
-from exactla.errors import InvalidInput, MalformedInput, ZeroDenominator
+from exactla.errors import InvalidInput, MalformedInput, SizeExceeded, ZeroDenominator
 from exactla.field import QQ, PrimeField
 from exactla.rng import SplitMix64
 
@@ -131,6 +132,18 @@ def test_format_deep_chain():
     assert text == "(add " * depth + "(const 1)" + " (const 1))" * depth
     assert repr(g) == f"Gate<{text}>"
     assert cc.parse_sexpr(text) is g
+
+
+def test_format_refuses_exponential_trees():
+    # x^(2^60) is 61 gates but 2^61 - 1 nodes written out as a tree
+    g = cc.var("x")
+    for _ in range(60):
+        g = g * g
+    start = time.perf_counter()
+    with pytest.raises(SizeExceeded):
+        cc.format_sexpr(g)
+    assert repr(g) == "Gate<mul, 61 gates>"
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("bad", [

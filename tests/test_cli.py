@@ -10,9 +10,9 @@ import pytest
 
 import exactla
 from exactla.charpoly import CharPoly
-from exactla.cli import (format_entry, format_matrix, parse_entry,
-                         parse_field, parse_matrix, parse_set_family,
-                         parse_vector, run)
+from exactla.cli import (build_parser, format_entry, format_matrix,
+                         parse_entry, parse_field, parse_matrix,
+                         parse_set_family, parse_vector, run)
 from exactla.errors import MalformedInput
 from exactla.field import GF2, GF3, QQ, PrimeField
 from exactla.matrix import Matrix
@@ -162,6 +162,9 @@ def test_exit_code_malformed(tmp_path, capsys):
     ["det", "big.txt"],  # Fraction would build 10**999999999
     ["det", "--field", "GF100000000900000000513", "A.txt"],  # (10^10+19)(10^10+33)
     ["det", "--field", "GF3317044064679887385962123", "A.txt"],  # prime, above the bound
+    ["or-poly", "--k", "0", "--p", "2", "--e", "-1"],
+    ["or-poly", "--k", "-5", "--p", "3", "--e", "2"],
+    ["or-poly", "--k", "1", "--p", "2", "--e", "0"],
 ])
 def test_bad_arguments_exit_2_quickly(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -218,6 +221,29 @@ def test_byte_determinism(tmp_path, capsys):
         assert run(["basis", path, "--json"]) == 0
         outputs.add(capsys.readouterr().out)
     assert len(outputs) == 1
+
+
+def test_shared_parser_keeps_no_state(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    path = _write(tmp_path, "c.sexp", "(add (var x) (var y))\n")
+    assert run(["circuit-eval", path, "--assign", "x=1", "--assign", "y=2"]) == 0
+    assert capsys.readouterr().out == "3\n"
+    # the earlier call's appended values must not carry over
+    assert run(["circuit-eval", path, "--assign", "x=5"]) == 2
+    assert "unassigned variable 'y'" in capsys.readouterr().err
+    # an argparse rejection leaves nothing behind for the next call
+    _write(tmp_path, "A.txt", "3 3\n1 2 3\n4 5 6\n7 8 10\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["det", "--threads", "0", str(tmp_path / "A.txt")])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(["det", str(tmp_path / "A.txt")]) == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(exactla.__file__)))
+    fresh = subprocess.run([sys.executable, "-m", "exactla.cli", "det", "A.txt"],
+                           capture_output=True, text=True, cwd=tmp_path,
+                           env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert fresh.returncode == 0
+    assert capsys.readouterr().out == fresh.stdout == "-3\n"
 
 
 def test_threads_flag_is_inert(tmp_path, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from exactla import oracles
-from exactla.charpoly import CharPoly, trailing_charpolys
+from exactla.charpoly import CharPoly, charpoly, trailing_charpolys
 from exactla.errors import InvalidInput, Unsolvable, ZeroMatrix
 from exactla.field import GF2, GF3, QQ, PrimeField
 from exactla.matrix import Matrix, mat_vec
@@ -143,6 +143,18 @@ def test_fast_pass_equals_generic_on_every_block():
                 off, arr = x or (0, ())
                 got = [F.zero()] * off + [F.from_int(int(c)) for c in arr]
                 assert Polynomial(F, got) == want
+
+
+def test_fast_charpoly_repr_matches_generic():
+    kernel = importlib.import_module("exactla.rank")
+    for A in (M([[1, -2], [3, 4]]), Matrix.from_ints(PrimeField(7), [[1, 5], [3, 6]])):
+        F = A.field
+        num, B, scale = kernel._sym_parts(F, A)
+        assert scale == 1
+        fast = kernel._fast_charpoly(num, B)
+        assert repr(fast) == repr(charpoly(polize(A, PolynomialRing(F))))
+    assert repr(kernel._Num(None, 2)) == "Z[X]"
+    assert repr(kernel._Num(7, 2)) == "GF7[X]"
 
 
 def test_method_dispatch():
