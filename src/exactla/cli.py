@@ -59,11 +59,9 @@ def parse_entry(field, token):
     """One matrix/vector entry; tokens never contain whitespace."""
     if isinstance(field, RationalFunctionField):
         parts = token.split(";")
-        if len(parts) == 1:
-            return field.parse(parts[0])
-        if len(parts) == 2:
-            return field.parse(parts[0] + " / " + parts[1])
-        raise InvalidInput(f"bad rational-function entry {token!r}")
+        if len(parts) > 2 or not all(parts):
+            raise InvalidInput(f"bad rational-function entry {token!r}")
+        return field.parse(" / ".join(parts))
     return field.parse(token)
 
 

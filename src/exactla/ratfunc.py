@@ -2,9 +2,12 @@
 
 An element is a pair (num, den) of polynomials with den != 0; equality is
 cross-multiplication.  Unlike the raw pair calculus, every operation here
-gcd-reduces and makes the denominator monic, so each class has one canonical
+returns the canonical pair (gcd 1, monic denominator), so each class has one
 representative and structural equality coincides with pair equality (this is
 load-bearing: the rank algorithm over Q(X) is hopeless without reduction).
+A sum or product of two polynomials (denominator 1) is canonical as it stands
+and skips the gcd (Henrici's denominator-1 case; Knuth, TAOCP vol. 2,
+4.5.1); every other result is reduced by ``make``.
 """
 
 from .errors import DimensionMismatch, DivisionByZero, InvalidInput
@@ -40,7 +43,11 @@ def poly_gcd(f, g):
 
 
 class RationalFunction:
-    """Canonical pair num/den: gcd 1, monic denominator."""
+    """Canonical pair num/den: gcd 1, monic denominator.
+
+    A constant denominator is therefore 1, and every polynomial element shares
+    its field's one ``1`` polynomial as denominator; pairs are never mutated.
+    """
 
     __slots__ = ("num", "den")
 
@@ -58,6 +65,7 @@ class RationalFunctionField(Field):
     def __init__(self, base):
         self.base = base
         self.name = f"{base.name}(X)"
+        self._one = Polynomial.one(base)  # the shared denominator 1
 
     # element construction
 
@@ -66,16 +74,16 @@ class RationalFunctionField(Field):
         if den.is_zero():
             raise DivisionByZero("zero denominator in F(X)")
         if num.is_zero():
-            return RationalFunction(Polynomial.zero(self.base),
-                                    Polynomial.one(self.base))
+            return self.zero()
         g = poly_gcd(num, den)
         num = poly_divmod(num, g)[0]
         den = poly_divmod(den, g)[0]
         lead_inv = self.base.inv(den.coeffs[-1])
-        return RationalFunction(num.scale(lead_inv), den.scale(lead_inv))
+        den = self._one if den.deg() == 0 else den.scale(lead_inv)
+        return RationalFunction(num.scale(lead_inv), den)
 
     def from_poly(self, f):
-        return RationalFunction(f, Polynomial.one(self.base))
+        return RationalFunction(f, self._one)
 
     def from_base(self, a):
         return self.from_poly(Polynomial.constant(self.base, a))
@@ -89,9 +97,11 @@ class RationalFunctionField(Field):
         return self.from_poly(Polynomial.zero(self.base))
 
     def one(self):
-        return self.from_poly(Polynomial.one(self.base))
+        return self.from_poly(self._one)
 
     def add(self, a, b):
+        if self.is_polynomial(a) and self.is_polynomial(b):
+            return self.from_poly(a.num + b.num)
         num = a.num * b.den + b.num * a.den
         return self.make(num, a.den * b.den)
 
@@ -99,6 +109,8 @@ class RationalFunctionField(Field):
         return RationalFunction(-a.num, a.den)
 
     def mul(self, a, b):
+        if self.is_polynomial(a) and self.is_polynomial(b):
+            return self.from_poly(a.num * b.num)
         return self.make(a.num * b.num, a.den * b.den)
 
     def inv(self, a):
@@ -124,10 +136,10 @@ class RationalFunctionField(Field):
 
     def parse(self, text):
         ring = PolynomialRing(self.base)
-        parts = text.strip().split(" / ")
+        parts = [part.strip() for part in text.split(" / ")]
         if len(parts) == 1:
             return self.from_poly(ring.parse(parts[0]))
-        if len(parts) == 2:
+        if len(parts) == 2 and all(parts):
             den = ring.parse(parts[1])
             if den.is_zero():
                 raise InvalidInput("rational function with zero denominator")
@@ -136,7 +148,7 @@ class RationalFunctionField(Field):
 
     def format(self, a):
         ring = PolynomialRing(self.base)
-        if a.den == Polynomial.one(self.base):
+        if self.is_polynomial(a):
             return ring.format(a.num)
         return f"{ring.format(a.num)} / {ring.format(a.den)}"
 
@@ -150,7 +162,8 @@ class RationalFunctionField(Field):
         return self.base.div(a.num(point), dv)
 
     def is_polynomial(self, a):
-        return a.den == Polynomial.one(self.base)
+        # a canonical denominator of degree 0 is 1
+        return len(a.den.coeffs) == 1
 
 
 class RatMatrixCode:

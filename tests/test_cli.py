@@ -177,6 +177,17 @@ def test_bad_arguments_exit_2_quickly(tmp_path, capsys, monkeypatch, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("entry", ["1;", ";1", ";", "1;2;3"])
+def test_fx_entry_with_an_empty_side_exits_2(tmp_path, capsys, entry):
+    A = _write(tmp_path, "A.txt", f"1 1\n{entry}\n")
+    assert run(["det", "--field", "Q(X)", A]) == 2
+    assert f"error: bad rational-function entry {entry!r}" in capsys.readouterr().err
+    one = _write(tmp_path, "I.txt", "1 1\n1\n")
+    b = _write(tmp_path, "b.txt", f"1\n{entry}\n")
+    assert run(["solve", "--field", "GF3(X)", one, b]) == 2
+    assert f"bad rational-function entry {entry!r}" in capsys.readouterr().err
+
+
 def test_large_prime_modulus(tmp_path, capsys):
     A = _write(tmp_path, "A.txt", "2 2\n1 2\n3 4\n")
     p = 10 ** 20 + 39
@@ -252,3 +263,55 @@ def test_threads_flag_is_inert(tmp_path, capsys):
     base = capsys.readouterr().out
     run(["det", "--threads", "4", path])
     assert capsys.readouterr().out == base
+
+
+# F(X) files with ';' rational entries; the rectangular Q(X) matrix has
+# row 3 = row 1 + row 2, so its rank, basis, kernel and minor are not trivial.
+_FX_FILES = {
+    "sq_q.txt": "2 2\n1,1 0,1;1,1\n2 1;0,1\n",
+    "rect_q.txt": "3 3\n1 0,1 1;1,1\n0,1 1,0,1 1\n1,1 1,1,1 2,1;1,1\n",
+    "b_q.txt": "2\n1;1,1 0,1\n",
+    "bad_q.txt": "3\n1 0 0\n",
+    "sq_g3.txt": "2 2\n1,2 1;0,1\n2,0,1 1,1\n",
+    "rect_g3.txt": "2 3\n1 0,1 2;1,1\n2 0,2 1;1,1\n",
+    "b_g3.txt": "2\n1 0,1;2,1\n",
+}
+
+
+_FX_GOLDEN = [
+    (["det", "--field", "Q(X)", "sq_q.txt"], 0, "1,2,-1;0,1,1\n"),
+    (["charpoly", "--field", "Q(X)", "sq_q.txt"], 0,
+     "1 -1,-1,-1;0,1 1,2,-1;0,1,1\n"),
+    (["rank", "--field", "Q(X)", "sq_q.txt"], 0, "2\n"),
+    (["solve", "--field", "Q(X)", "sq_q.txt", "b_q.txt"], 0,
+     "-1,0,0,1;-1,-2,1 0,2,-1,-2,-1;-1,-2,1\n"),
+    (["solve", "--field", "Q(X)", "rect_q.txt", "bad_q.txt"], 1, ""),
+    (["rank", "--field", "Q(X)", "rect_q.txt"], 0, "2\n"),
+    (["basis", "--field", "Q(X)", "rect_q.txt"], 0,
+     "selected: 1 2\n3 3\n1 0,1 0\n0,1 1,0,1 0\n1,1 1,1,1 0\n"
+     "3 3\n1 0 1,-1;1,1\n0 1 1;1,1\n0 0 0\n"),
+    (["kernel", "--field", "Q(X)", "rect_q.txt"], 0, "3 1\n1,-1;1,1\n1;1,1\n-1\n"),
+    (["minor", "--field", "Q(X)", "rect_q.txt"], 0, "U: 1 2\nV: 1 2\n"),
+    (["det", "--field", "GF3(X)", "sq_g3.txt"], 0, "1,1,2,2;0,1\n"),
+    (["charpoly", "--field", "GF3(X)", "sq_g3.txt"], 0, "1 1 1,1,2,2;0,1\n"),
+    (["rank", "--field", "GF3(X)", "sq_g3.txt"], 0, "2\n"),
+    (["solve", "--field", "GF3(X)", "sq_g3.txt", "b_g3.txt"], 0,
+     "0,2,0,2;1,0,1,0,1 0,2,1,1;2,2,1,1\n"),
+    (["rank", "--field", "GF3(X)", "rect_g3.txt"], 0, "1\n"),
+    (["basis", "--field", "GF3(X)", "rect_g3.txt"], 0,
+     "selected: 1\n2 3\n1 0 0\n2 0 0\n3 3\n1 0,1 2;1,1\n0 0 0\n0 0 0\n"),
+    (["kernel", "--field", "GF3(X)", "rect_g3.txt"], 0,
+     "3 2\n0,1 2;1,1\n2 0\n0 2\n"),
+    (["minor", "--field", "GF3(X)", "rect_g3.txt"], 0, "U: 1\nV: 1\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out", _FX_GOLDEN,
+                         ids=["-".join(a[2:] + a[:1]) for a, _, _ in _FX_GOLDEN])
+def test_fx_commands_golden(tmp_path, capsys, monkeypatch, argv, code, out):
+    # pinned byte for byte: F(X) arithmetic must keep every canonical form
+    monkeypatch.chdir(tmp_path)
+    for name, text in _FX_FILES.items():
+        _write(tmp_path, name, text)
+    assert run(argv) == code
+    assert capsys.readouterr().out == out

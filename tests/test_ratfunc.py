@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from exactla.errors import DivisionByZero
-from exactla.field import GF3, QQ
+from exactla.errors import DivisionByZero, InvalidInput
+from exactla.field import GF3, QQ, PrimeField
 from exactla.matrix import Matrix
 from exactla.poly import Polynomial
 from exactla.ratfunc import (RationalFunctionField, poly_divmod, poly_gcd,
@@ -93,6 +94,20 @@ def test_parse_format_roundtrip():
         a = FX.make(_rand_poly(rng), g)
         assert FX.eq(FX.parse(FX.format(a)), a)
     assert FX.eq(FX.parse("0 1 / 1 1"), FX.make(X, X + ONE))
+    for text in ("1 / ", " / 1", " / ", "1 / 2 / 3"):
+        with pytest.raises(InvalidInput, match="bad rational-function literal"):
+            FX.parse(text)
+
+
+def test_field_identity_ignores_the_shared_one():
+    fx = RationalFunctionField(QQ)
+    assert fx == FX and hash(fx) == hash(FX)
+    assert FX != RationalFunctionField(GF3)
+    A = Matrix(FX, [[FX.gen(), FX.one()], [FX.make(ONE, X), FX.zero()]])
+    B = Matrix(fx, [[fx.one(), fx.from_int(2)], [fx.gen(), fx.make(X, X + ONE)]])
+    expected = [[FX.add(FX.mul(A.at(i, 1), B.at(1, j)), FX.mul(A.at(i, 2), B.at(2, j)))
+                 for j in (1, 2)] for i in (1, 2)]
+    assert A @ B == Matrix(FX, expected)
 
 
 def test_common_denominator_all_polynomial():
@@ -120,3 +135,43 @@ def test_rat_matrix_powers():
         k = rng.randint(0, 3)
         powered = rat_matrix_pow(k, to_common_denominator(M))
         assert powered.decode(FX) == M.power(k)
+
+
+# --- canonical form of every operation ---------------------------------------
+
+def _elements(base):
+    """Zero, polynomial and (mostly properly) rational elements of base(X)."""
+    fx = RationalFunctionField(base)
+    polys = st.lists(st.integers(-3, 3), max_size=4).map(
+        lambda cs: Polynomial.from_ints(base, cs))
+    dens = polys.filter(lambda g: g.deg() >= 1)
+    return st.one_of(st.just(fx.zero()), polys.map(fx.from_poly),
+                     st.tuples(polys, dens).map(lambda fg: fx.make(*fg)))
+
+
+def _cases():
+    return st.sampled_from([QQ, PrimeField(7)]).flatmap(lambda base: st.tuples(
+        st.just(RationalFunctionField(base)),
+        _elements(base), _elements(base), _elements(base)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_cases())
+def test_operations_match_make_of_the_naive_pair(case):
+    fx, a, b, c = case
+    # each result against make() of the unreduced pair, the same pair for
+    # every operand case
+    pairs = {
+        "add": (fx.add(a, b), fx.make(a.num * b.den + b.num * a.den, a.den * b.den)),
+        "sub": (fx.sub(a, b), fx.make(a.num * b.den - b.num * a.den, a.den * b.den)),
+        "mul": (fx.mul(a, b), fx.make(a.num * b.num, a.den * b.den)),
+        "neg": (fx.neg(a), fx.make(-a.num, a.den)),
+        "inv": (fx.inv(a), fx.zero() if a.num.is_zero() else fx.make(a.den, a.num)),
+    }
+    for op, (got, want) in pairs.items():
+        assert got.num.coeffs == want.num.coeffs, op
+        assert got.den.coeffs == want.den.coeffs, op
+        assert fx.base.is_one(got.den.coeffs[-1]), op
+    assert fx.eq(fx.add(fx.add(a, b), c), fx.add(a, fx.add(b, c)))
+    assert fx.eq(fx.mul(fx.mul(a, b), c), fx.mul(a, fx.mul(b, c)))
+    assert fx.eq(fx.mul(a, fx.add(b, c)), fx.add(fx.mul(a, b), fx.mul(a, c)))
