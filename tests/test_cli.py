@@ -315,3 +315,75 @@ def test_fx_commands_golden(tmp_path, capsys, monkeypatch, argv, code, out):
         _write(tmp_path, name, text)
     assert run(argv) == code
     assert capsys.readouterr().out == out
+
+
+# Base-field files: sq is 3x3 with det -1 (-2 over Q) and invertible mod every
+# tested prime; rect has row 2 = 2 * row 1 and column 2 = 2 * column 1 +
+# column 3, so its rank is 2 and bad.txt (b_2 != 2 b_1) has no solution.
+_BASE_FILES = {
+    "Q": {"sq.txt": "3 3\n2 1/2 1\n1 3 2\n1 0 0\n",
+          "rect.txt": "3 4\n1 1/2 0 1\n2 1 0 2\n0 1 1/3 0\n",
+          "b.txt": "3\n1 -2 1/2\n",
+          "bad.txt": "3\n0 1 0\n"},
+    "GF": {"sq.txt": "3 3\n2 1 1\n1 3 2\n1 0 0\n",
+           "rect.txt": "3 4\n1 2 0 1\n2 4 0 2\n0 1 1 0\n",
+           "b.txt": "3\n1 -2 5\n",
+           "bad.txt": "3\n0 1 0\n"},
+}
+
+_BASE_GOLDEN = [
+    (["det", "--field", "Q", "sq.txt"], 0, "-2\n"),
+    (["charpoly", "--field", "Q", "sq.txt"], 0, "1 -5 9/2 2\n"),
+    (["rank", "--field", "Q", "rect.txt"], 0, "2\n"),
+    (["solve", "--field", "Q", "sq.txt", "b.txt"], 0, "1/2 -5/4 5/8\n"),
+    (["solve", "--field", "Q", "rect.txt", "bad.txt"], 1, ""),
+    (["basis", "--field", "Q", "rect.txt"], 0,
+     "selected: 1 2\n3 4\n1 1/2 0 0\n2 1 0 0\n0 1 0 0\n"
+     "4 4\n1 0 -1/6 1\n0 1 1/3 0\n0 0 0 0\n0 0 0 0\n"),
+    (["kernel", "--field", "Q", "rect.txt"], 0, "4 2\n-1/6 1\n1/3 0\n-1 0\n0 -1\n"),
+    (["minor", "--field", "Q", "rect.txt"], 0, "U: 1 3\nV: 1 2\n"),
+    (["det", "--field", "GF2", "sq.txt"], 0, "1\n"),
+    (["charpoly", "--field", "GF2", "sq.txt"], 0, "1 1 0 1\n"),
+    (["rank", "--field", "GF2", "rect.txt"], 0, "2\n"),
+    (["solve", "--field", "GF2", "sq.txt", "b.txt"], 0, "1 1 0\n"),
+    (["solve", "--field", "GF2", "rect.txt", "bad.txt"], 1, ""),
+    (["basis", "--field", "GF2", "rect.txt"], 0,
+     "selected: 1 2\n3 4\n1 0 0 0\n0 0 0 0\n0 1 0 0\n"
+     "4 4\n1 0 0 1\n0 1 1 0\n0 0 0 0\n0 0 0 0\n"),
+    (["kernel", "--field", "GF2", "rect.txt"], 0, "4 2\n0 1\n1 0\n1 0\n0 1\n"),
+    (["minor", "--field", "GF2", "rect.txt"], 0, "U: 1 3\nV: 1 2\n"),
+    (["det", "--field", "GF3", "sq.txt"], 0, "2\n"),
+    (["charpoly", "--field", "GF3", "sq.txt"], 0, "1 1 1 1\n"),
+    (["rank", "--field", "GF3", "rect.txt"], 0, "2\n"),
+    (["solve", "--field", "GF3", "sq.txt", "b.txt"], 0, "2 2 1\n"),
+    (["solve", "--field", "GF3", "rect.txt", "bad.txt"], 1, ""),
+    (["basis", "--field", "GF3", "rect.txt"], 0,
+     "selected: 1 2\n3 4\n1 2 0 0\n2 1 0 0\n0 1 0 0\n"
+     "4 4\n1 0 1 1\n0 1 1 0\n0 0 0 0\n0 0 0 0\n"),
+    (["kernel", "--field", "GF3", "rect.txt"], 0, "4 2\n1 1\n1 0\n2 0\n0 2\n"),
+    (["minor", "--field", "GF3", "rect.txt"], 0, "U: 1 3\nV: 1 2\n"),
+    (["det", "--field", "GF1000003", "sq.txt"], 0, "1000002\n"),
+    (["charpoly", "--field", "GF1000003", "sq.txt"], 0, "1 999998 4 1\n"),
+    (["rank", "--field", "GF1000003", "rect.txt"], 0, "2\n"),
+    (["solve", "--field", "GF1000003", "sq.txt", "b.txt"], 0, "5 11 999983\n"),
+    (["solve", "--field", "GF1000003", "rect.txt", "bad.txt"], 1, ""),
+    (["basis", "--field", "GF1000003", "rect.txt"], 0,
+     "selected: 1 2\n3 4\n1 2 0 0\n2 4 0 0\n0 1 0 0\n"
+     "4 4\n1 0 1000001 1\n0 1 1 0\n0 0 0 0\n0 0 0 0\n"),
+    (["kernel", "--field", "GF1000003", "rect.txt"], 0,
+     "4 2\n1000001 1\n1 0\n1000002 0\n0 1000002\n"),
+    (["minor", "--field", "GF1000003", "rect.txt"], 0, "U: 1 3\nV: 1 2\n"),
+    (["or-poly", "--k", "4", "--p", "2", "--e", "2"], 0,
+     "mod 2^2: coefficients 0 1 1 1\nvalues on 0..3: 0 1 1 1\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out", _BASE_GOLDEN,
+                         ids=["-".join(t.lstrip("-") for t in a) for a, _, _ in _BASE_GOLDEN])
+def test_base_field_commands_golden(tmp_path, capsys, monkeypatch, argv, code, out):
+    # pinned byte for byte: the fast kernel's read-back must keep every answer
+    monkeypatch.chdir(tmp_path)
+    for name, text in _BASE_FILES["Q" if "Q" in argv else "GF"].items():
+        _write(tmp_path, name, text)
+    assert run(argv) == code
+    assert capsys.readouterr().out == out
