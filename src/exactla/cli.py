@@ -29,7 +29,6 @@ from .charpoly import charpoly, det
 from .errors import ExactLAError, InvalidInput, MalformedInput
 from .field import GF2, GF3, QQ, PrimeField
 from .matrix import Matrix
-from .poly import PolynomialRing
 from .rank import (count_nonzero, greedy_basis, iota, kernel_basis,
                    max_nonsingular_minor, mulmuley_rank, solve)
 from .ratfunc import RationalFunctionField
@@ -59,7 +58,7 @@ def parse_entry(field, token):
     """One matrix/vector entry; tokens never contain whitespace."""
     if isinstance(field, RationalFunctionField):
         parts = token.split(";")
-        if len(parts) > 2 or not all(parts):
+        if len(parts) > 2 or not all(c for part in parts for c in part.split(",")):
             raise InvalidInput(f"bad rational-function entry {token!r}")
         return field.parse(" / ".join(parts))
     return field.parse(token)
@@ -68,8 +67,6 @@ def parse_entry(field, token):
 def format_entry(field, a):
     if isinstance(field, RationalFunctionField):
         return field.format(a).replace(" / ", ";").replace(" ", ",")
-    if isinstance(field, PolynomialRing):
-        return field.format(a).replace(" ", ",")
     return field.format(a)
 
 

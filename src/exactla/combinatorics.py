@@ -42,26 +42,8 @@ def binom_table(n_max, s):
 
 def subsets_up_to(n, s):
     """All subsets of [n] of size <= s, in rank order."""
-    out = [frozenset()]
-    for t in range(1, s + 1):
-        out.extend(_combinations_colex(n, t))
-    return out
-
-
-def _combinations_colex(n, t):
-    combs = []
-
-    def rec(prefix, lo):
-        if len(prefix) == t:
-            combs.append(frozenset(prefix))
-            return
-        for v in range(lo, n + 1):
-            rec(prefix + [v], v + 1)
-
-    rec([], 1)
-    combs.sort(key=lambda S: sum(binom(e - 1, k + 1)
-                                 for k, e in enumerate(sorted(S))))
-    return combs
+    total = sum(binom(n, i) for i in range(s + 1))
+    return [subset_unrank(n, x, s) for x in range(1, total + 1)]
 
 
 def subset_rank(n, S, s):
@@ -140,9 +122,6 @@ class Graph:
         self.n = n
         self.rows = rows
 
-    def is_edge(self, i, j):
-        return bool(self.rows[i][j])
-
     def neighbors(self, i):
         return {j for j in range(self.n) if self.rows[i][j]}
 
@@ -202,13 +181,12 @@ def monomial_value(field, mono, point):
 # ---------------------------------------------------------------------------
 # Ray-Chaudhuri-Wilson
 
-def _intersection_sizes_ok(family, L):
+def _pair_intersections(family):
+    """(i, j, |S_i & S_j|) for the members' pairs i < j, 1-based, in order."""
+    S = family.members
     for i in range(family.m):
         for j in range(i + 1, family.m):
-            size = len(family.members[i] & family.members[j])
-            if size not in L:
-                return (i + 1, j + 1, size)
-    return None
+            yield i + 1, j + 1, len(S[i] & S[j])
 
 
 def rcw_verify(family, L):
@@ -224,11 +202,11 @@ def rcw_verify(family, L):
     n, m = family.n, family.m
     if len(set(family.members)) != m:
         raise PreconditionViolated("family members must be distinct sets")
-    bad = _intersection_sizes_ok(family, L)
-    if bad is not None:
-        raise NotLIntersecting(
-            f"sets {bad[0]} and {bad[1]} intersect in {bad[2]} points, not in L",
-            witness=bad)
+    for i, j, size in _pair_intersections(family):
+        if size not in L:
+            raise NotLIntersecting(
+                f"sets {i} and {j} intersect in {size} points, not in L",
+                witness=(i, j, size))
     order = sorted(range(m), key=lambda i: len(family.members[i]))
     names = [f"x{j}" for j in range(1, n + 1)]
     xs = [cc.var(nm) for nm in names]
@@ -293,13 +271,10 @@ def oddtown_check(family):
         if len(S) % 2 == 0:
             raise PreconditionViolated(f"set {i + 1} has even size {len(S)}",
                                        witness=i + 1)
-    for i in range(family.m):
-        for j in range(i + 1, family.m):
-            inter = len(family.members[i] & family.members[j])
-            if inter % 2:
-                raise PreconditionViolated(
-                    f"sets {i + 1} and {j + 1} intersect oddly ({inter})",
-                    witness=(i + 1, j + 1))
+    for i, j, inter in _pair_intersections(family):
+        if inter % 2:
+            raise PreconditionViolated(f"sets {i} and {j} intersect oddly ({inter})",
+                                       witness=(i, j))
     inc = Matrix(GF2, family.bit_rows())
     r = mulmuley_rank(inc).rank
     if r != family.m:
@@ -318,13 +293,10 @@ def fisher_check(family, lam):
         if len(S) <= lam:
             raise PreconditionViolated(
                 f"set {i + 1} has size {len(S)} <= lambda", witness=i + 1)
-    for i in range(family.m):
-        for j in range(i + 1, family.m):
-            inter = len(family.members[i] & family.members[j])
-            if inter != lam:
-                raise PreconditionViolated(
-                    f"sets {i + 1} and {j + 1} intersect in {inter} != lambda",
-                    witness=(i + 1, j + 1))
+    for i, j, inter in _pair_intersections(family):
+        if inter != lam:
+            raise PreconditionViolated(
+                f"sets {i} and {j} intersect in {inter} != lambda", witness=(i, j))
     B = Matrix(QQ, [[Fraction(x) for x in row] for row in family.bit_rows()])
     gram = B @ B.transpose()
     d = det(gram)
@@ -393,9 +365,6 @@ class SymmetricPolySpec:
     def eval_count(self, j):
         return sum(c * binom(j, a) for a, c in enumerate(self.coeffs)) % self.p
 
-    def eval_point(self, bits):
-        return self.eval_count(sum(1 for b in bits if b))
-
     def __repr__(self):
         return f"SymmetricPolySpec(p={self.p}, e={self.e}, coeffs={self.coeffs})"
 
@@ -415,17 +384,14 @@ def or_poly_mod_pe(k, p, e):
     system = Matrix(field, [[binom(j, a) % p for a in range(q)]
                             for j in range(q)])
     target = [field.from_int(0 if j % q == 0 else 1) for j in range(q)]
+    # row j of system times the coefficients is f(j) mod p, so solve's
+    # contract check (system @ coeffs == target) has verified f on the window
     try:
         coeffs = solve(system, target)
     except Unsolvable as exc:
         raise SystemUnsolvable(
             "the s_a-value system is singular; construction bug") from exc
-    spec = SymmetricPolySpec(p, e, coeffs)
-    for j in range(q):
-        want = 0 if j % q == 0 else 1
-        if spec.eval_count(j) != want:
-            raise SystemUnsolvable(f"solved coefficients misbehave at j={j}")
-    return spec
+    return SymmetricPolySpec(p, e, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -37,10 +37,6 @@ class Matrix:
         return cls(field, [[o if i == j else z for j in range(k)] for i in range(k)])
 
     @classmethod
-    def column(cls, field, entries):
-        return cls(field, [[e] for e in entries])
-
-    @classmethod
     def from_ints(cls, field, rows):
         # equal integers share one (immutable) field element: a small-entry
         # matrix over Q then holds a handful of Fractions, not one per entry
@@ -67,9 +63,6 @@ class Matrix:
         if 1 <= i <= self.m and 1 <= j <= self.n:
             return self.rows[i - 1][j - 1]
         return self.field.zero()
-
-    def row_vec(self, i):
-        return list(self.rows[i - 1])
 
     def col_vec(self, j):
         return [r[j - 1] for r in self.rows]
@@ -135,11 +128,6 @@ class Matrix:
 
     def transpose(self):
         return Matrix(self.field, list(zip(*self.rows)))
-
-    def trace(self):
-        if not self.is_square():
-            raise NonSquare("trace needs a square matrix")
-        return self.field.sum(self.rows[i][i] for i in range(self.m))
 
     def map(self, fn, field=None):
         """Apply fn to every entry; optionally move to another ring instance."""

@@ -324,14 +324,6 @@ class PolyMatrix:
             out = out.vstack(b)
         return out
 
-    def pm_add(self, other):
-        self._compat(other)
-        if (self.m, self.n) != (other.m, other.n):
-            raise DimensionMismatch("block shapes differ")
-        d = max(self.d, other.d)
-        return PolyMatrix(self.field,
-                          [self.mcoeff(k) + other.mcoeff(k) for k in range(d + 1)], d)
-
     def pm_mul(self, other):
         """Product through the block-Toeplitz convolution matrix.
 
@@ -363,15 +355,6 @@ class PolyMatrix:
         for _ in range(k):
             acc = acc.pm_mul(self)
         return acc
-
-    def max_entry_deg(self):
-        best = NEG_INF
-        for i in range(1, self.m + 1):
-            for j in range(1, self.n + 1):
-                e = self.entry(i, j)
-                if not e.is_zero():
-                    best = max(best, e.deg())
-        return best
 
     def __eq__(self, other):
         """Padding-insensitive coding equality."""

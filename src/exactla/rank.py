@@ -471,11 +471,9 @@ def _solve_columns(A, bs, method):
                 rows, lo, W = acc
                 for k, i in enumerate(rows):
                     vs[i] = int(W[k, s - lo])
-            if isinstance(field, PrimeField):
-                tau_inv = field.inv(tau_hat)
-                return [field.mul(field.neg(vs[m + i] % field.p), tau_inv) for i in range(n)]
             # v_hat = scale^(N-mul-1) * b_scale * v;  tau_hat = scale^(N-mul) * tau
-            return [Fraction(-scale * vs[m + i], tau_hat * b_scale) for i in range(n)]
+            tau_inv = field.inv(field.from_int(tau_hat * b_scale))
+            return [field.mul(field.from_int(-scale * vs[m + i]), tau_inv) for i in range(n)]
     else:
         C, ch = _generic_charpoly(A)
         t0 = ch.coeff_of(ch.root0_mul())  # p~(0), a nonzero polynomial

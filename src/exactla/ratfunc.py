@@ -10,7 +10,7 @@ and skips the gcd (Henrici's denominator-1 case; Knuth, TAOCP vol. 2,
 4.5.1); every other result is reduced by ``make``.
 """
 
-from .errors import DimensionMismatch, DivisionByZero, InvalidInput
+from .errors import DivisionByZero, InvalidInput
 from .field import Field
 from .matrix import Matrix
 from .poly import Polynomial, PolyMatrix, PolynomialRing

@@ -177,7 +177,7 @@ def test_bad_arguments_exit_2_quickly(tmp_path, capsys, monkeypatch, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("entry", ["1;", ";1", ";", "1;2;3"])
+@pytest.mark.parametrize("entry", ["1;", ";1", ";", "1;2;3", "1,", ",1", "1,,2;1"])
 def test_fx_entry_with_an_empty_side_exits_2(tmp_path, capsys, entry):
     A = _write(tmp_path, "A.txt", f"1 1\n{entry}\n")
     assert run(["det", "--field", "Q(X)", A]) == 2

@@ -34,6 +34,14 @@ def test_subset_ranking_bijective():
     total = sum(binom(5, i) for i in range(3))
     for x in range(1, total + 1):
         assert subset_rank(5, subset_unrank(5, x, 2), 2) == x
+    assert subsets_up_to(4, 2) == [
+        frozenset(), {1}, {2}, {3}, {4},
+        {1, 2}, {1, 3}, {2, 3}, {1, 4}, {2, 4}, {3, 4}]
+    for n in range(7):
+        for s in range(8):  # s > n and s = 0 included
+            total = sum(binom(n, i) for i in range(s + 1))
+            assert ([subset_rank(n, S, s) for S in subsets_up_to(n, s)]
+                    == list(range(1, total + 1)))
 
 
 def test_lincoeff_multilinear():
@@ -66,8 +74,15 @@ def test_rcw_single_set_empty_l():
 
 def test_rcw_rejects_bad_intersections():
     fam = SetFamily(4, [{1, 2}, {2, 3}, {3, 4}])
-    with pytest.raises(NotLIntersecting):
+    with pytest.raises(NotLIntersecting) as err:
         rcw_verify(fam, [0])  # {1,2} and {2,3} share one element
+    assert err.value.witness == (1, 2, 1)
+    assert str(err.value) == "sets 1 and 2 intersect in 1 points, not in L"
+    # the first offending pair in (i, j) order, not the first pair of sets
+    with pytest.raises(NotLIntersecting) as err:
+        rcw_verify(SetFamily(4, [{1}, {2}, {1, 3}, {3}]), [0])
+    assert err.value.witness == (1, 3, 1)
+    assert str(err.value) == "sets 1 and 3 intersect in 1 points, not in L"
 
 
 def test_oddtown_singletons():
@@ -77,16 +92,29 @@ def test_oddtown_singletons():
 
 
 def test_oddtown_rejections():
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionViolated) as err:
         oddtown_check(SetFamily(4, [{1, 2}]))  # even size
-    with pytest.raises(PreconditionViolated):
+    assert err.value.witness == 1 and str(err.value) == "set 1 has even size 2"
+    with pytest.raises(PreconditionViolated) as err:
         oddtown_check(SetFamily(4, [{1, 2, 3}, {3}]))  # odd intersection
+    assert err.value.witness == (1, 2)
+    assert str(err.value) == "sets 1 and 2 intersect oddly (1)"
+    with pytest.raises(PreconditionViolated) as err:
+        oddtown_check(SetFamily(4, [{1}, {2}, {1, 2, 3}, {4}]))
+    assert err.value.witness == (1, 3)
+    assert str(err.value) == "sets 1 and 3 intersect oddly (1)"
 
 
 def test_fisher_degenerate_rejected():
     fam = SetFamily(3, [{1, 2, 3}, {1, 2, 3}])
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionViolated) as err:
         fisher_check(fam, 3)  # |A_i| > lambda fails
+    assert err.value.witness == 1
+    assert str(err.value) == "set 1 has size 3 <= lambda"
+    with pytest.raises(PreconditionViolated) as err:
+        fisher_check(SetFamily(4, [{1, 2}, {1, 3}, {1, 2, 3}, {1, 4}]), 1)
+    assert err.value.witness == (1, 3)
+    assert str(err.value) == "sets 1 and 3 intersect in 2 != lambda"
 
 
 def test_fisher_accepts():
