@@ -1,0 +1,237 @@
+"""The numeric kernels, the package's only use of numpy.
+
+Two kernels share one overflow rule, _int64_safe: residues mod p live in
+int64 arrays when no sum of products can overflow, and in object arrays of
+Python ints otherwise (and always for integers cleared from Q).
+
+  * The rank kernel computes the characteristic polynomial of
+    polize(A) = diag(X^0..X^(N-1)) * B with B numeric, over the ring _Num of
+    trimmed X-polynomials.  rank.py runs it through charpoly.py's one
+    Berkowitz loop, which supplies the Toeplitz combine, and through
+    _horner, which applies p~(C) to a vector for solve.
+  * The scalar kernel, _berkowitz_mod_p, computes the characteristic
+    polynomial of a square matrix over GF(p).  Over scalars the Toeplitz
+    combine is one truncated np.convolve per trailing block, and each first
+    column R M^t S is a run of ndarray.dot products, so no step goes through
+    the field's Python-level operations.  charpoly.charpoly dispatches every
+    square GF(p) matrix here, and det, adjugate, inverse and quasi_inverse follow.
+
+np.convolve is always called through the numpy module attribute, so a
+profiler that wraps numpy.convolve sees every convolution.
+"""
+
+from fractions import Fraction
+from math import lcm
+
+import numpy as np
+
+from .field import PrimeField, Ring
+
+
+def _int64_safe(p, terms):
+    """Whether a sum of `terms` products of residues mod p, each at most
+    (p-1)^2, stays below 2^63."""
+    return (p - 1) ** 2 * terms < 2 ** 63
+
+
+# ---------------------------------------------------------------------------
+# the rank kernel: matrices diag(X^0..X^(N-1)) * B with B numeric
+#
+# An X-polynomial is a trimmed pair (offset, a) meaning sum_k a[k] X^(offset+k)
+# with a[0] and a[-1] nonzero, or None for zero.  A vector of X-polynomials is
+# a triple (rows, lo, W) or None: rows are the indices of its possibly
+# nonzero entries, and entry rows[k] is sum_j W[k, j] X^(lo+j).
+
+class _Num(Ring):
+    """The ring of trimmed X-polynomials, zero None, over 1-D/2-D numpy
+    arrays of plain Python ints (object dtype) or residues mod p (int64 when
+    no sum can overflow)."""
+
+    def __init__(self, p, N):
+        self.p = p
+        self.name = "Z[X]" if p is None else f"GF{p}[X]"
+        # each entry is a sum of at most N products (matvec) or of at most
+        # N(N-1)/2 + 1 products (convolution with a charpoly coefficient, whose
+        # X-degree is at most N(N-1)/2)
+        if p is not None and _int64_safe(p, max(N, N * (N - 1) // 2 + 1)):
+            self.dtype = np.int64
+        else:
+            self.dtype = object
+
+    def red(self, a):
+        return a if self.p is None else a % self.p
+
+    def zeros(self, shape):
+        return np.zeros(shape, dtype=self.dtype)
+
+    def matmul(self, A, w):
+        return self.red(A.dot(w))
+
+    def zero(self):
+        return None
+
+    def is_zero(self, x):
+        return x is None
+
+    def mul(self, x, y):
+        """Product, itself trimmed (the coefficient rings are integral
+        domains); a monomial factor is a shift-and-scale instead of a
+        convolution."""
+        if x is None or y is None:
+            return None
+        (ox, a), (oy, b) = x, y
+        if len(a) == 1 or len(b) == 1:
+            return ox + oy, self.red(a * b)
+        return ox + oy, self.red(np.convolve(a, b))
+
+    def sum(self, items):
+        terms = [t for t in items if t is not None]
+        if len(terms) <= 1:
+            return terms[0] if terms else None
+        lo = min(o for o, _ in terms)
+        acc = self.zeros(max(o + len(a) for o, a in terms) - lo)
+        for o, a in terms:
+            acc[o - lo:o - lo + len(a)] += a
+        return _trim(lo, self.red(acc))
+
+    def format(self, x):
+        """Constant-first coefficients, as PolynomialRing.format writes them."""
+        if x is None:
+            return "0"
+        off, a = x
+        return " ".join(["0"] * off + [str(c) for c in a])
+
+
+def _trim(off, a):
+    """The trimmed pair for sum_k a[k] X^(off+k), or None if a is zero."""
+    nz = a.nonzero()[0]
+    if not len(nz):
+        return None
+    return off + int(nz[0]), a[nz[0]:nz[-1] + 1]
+
+
+def _stagger(num, rows, lo, U):
+    """The vector whose entry rows[k] is X^(lo + rows[k]) * U[k]."""
+    r0 = int(rows[0])
+    shift = (rows - r0).tolist()
+    W = num.zeros((len(rows), U.shape[1] + shift[-1]))
+    for k, s in enumerate(shift):
+        W[k, s:s + U.shape[1]] = U[k]
+    return rows, lo + r0, W
+
+
+def _matvec(num, B, base, vec):
+    """diag(X^(base+i)) * B applied to a vector: only its rows and the rows
+    of B they reach are multiplied."""
+    rows, lo, W = vec
+    sub = B[:, rows]
+    reach = sub.any(axis=1).nonzero()[0]
+    if not len(reach):
+        return None
+    return _stagger(num, reach, lo + base, num.matmul(sub[reach], W))
+
+
+def _vadd(num, x, y):
+    """Sum of two vectors."""
+    # a set union: np.union1d would import numpy.ma, several MB of RSS
+    rows = np.array(sorted({*x[0].tolist(), *y[0].tolist()}), dtype=np.intp)
+    lo = min(x[1], y[1])
+    W = num.zeros((len(rows), max(x[1] + x[2].shape[1], y[1] + y[2].shape[1]) - lo))
+    for r, l, U in (x, y):
+        W[np.searchsorted(rows, r), l - lo:l - lo + U.shape[1]] += U
+    return rows, lo, num.red(W)
+
+
+def _fast_first_column(num, B, k0):
+    """First column of Col(k0+1, diag*B): Y-coefficients as trimmed
+    X-polynomials [1, -X^k0 a, -X^k0 R S, -X^k0 R M S, ...], with a, R, S, M
+    the corner, row border, column border and trailing block of B at k0 and
+    M scaled by diag(X^(k0+1)..X^(N-1))."""
+    N = B.shape[0]
+    col = [(0, np.ones(1, dtype=num.dtype)), _trim(k0, num.red(-B[k0, k0:k0 + 1]))]
+    R, S, M = B[k0, k0 + 1:], B[k0 + 1:, k0], B[k0 + 1:, k0 + 1:]
+    rows = S.nonzero()[0]
+    w = _stagger(num, rows, k0 + 1, S[rows, None]) if len(rows) else None
+    for t in range(N - 1 - k0):
+        if w is None:
+            col.append(None)
+            continue
+        rows, lo, W = w
+        col.append(_trim(k0 + lo, num.red(-num.matmul(R[rows], W))))
+        if t < N - 2 - k0:
+            w = _matvec(num, M, k0 + 1, w)
+    return col
+
+
+def _horner(num, B, ch, b_ints):
+    """sum_{j=1}^{N-mul} t_(j+mul) C^(j-1) w0 by Horner, where
+    C = diag(X^0..X^(N-1)) * B, t_k is the Y^k coefficient of ch = charpoly(C),
+    mul its root-0 multiplicity and w0 = chi_N * [b; 0].
+    Row i of w0 is the monomial b_i X^i, so t * w0 is t shifted and scaled
+    row by row.  Returns a vector in the kernel's (rows, lo, W) form."""
+    N = B.shape[0]
+    mul = ch.root0_mul()
+    brows = np.array([i for i, x in enumerate(b_ints) if x], dtype=np.intp)
+    bvals = np.array([b_ints[i] for i in brows], dtype=num.dtype)
+    acc = None
+    for j in range(N - mul, 0, -1):
+        if acc is not None:
+            acc = _matvec(num, B, 0, acc)
+        t = ch.coeff_of(j + mul)
+        if t is not None and len(brows):
+            term = _stagger(num, brows, t[0], num.red(np.multiply.outer(bvals, t[1])))
+            acc = term if acc is None else _vadd(num, acc, term)
+    return acc
+
+
+def _clear_ints(field, elems):
+    """Integer images of the elements plus the exact scale used."""
+    if isinstance(field, PrimeField):
+        return [int(e) % field.p for e in elems], 1
+    scale = lcm(*(Fraction(e).denominator for e in elems)) if elems else 1
+    return [int(e * scale) for e in elems], scale
+
+
+def _sym_parts(field, A):
+    """Numeric kernel data for polize(A): (num, B, scale)."""
+    m, n = A.m, A.n
+    N = m + n
+    ints, scale = _clear_ints(field, [e for r in A.rows for e in r])
+    num = _Num(field.p if isinstance(field, PrimeField) else None, N)
+    B = num.zeros((N, N))
+    for i in range(m):
+        for j in range(n):
+            B[i, m + j] = ints[i * n + j]
+            B[m + j, i] = ints[i * n + j]
+    return num, num.red(B), scale
+
+
+# ---------------------------------------------------------------------------
+# the scalar kernel: square matrices over GF(p)
+
+def _berkowitz_mod_p(A):
+    """Coefficients of det(YI - A), leading first, as Python ints, for a
+    square matrix A over a PrimeField.  The Berkowitz loop of
+    charpoly._berkowitz over the trailing blocks, 1x1 corner first: the
+    first column of Col(k) is [1, -a, -R S, -R M S, ..., -R M^(n-k-1) S]
+    with a, R, S, M the corner, row border, column border and trailing block
+    at k, and each step is one convolution truncated to that column's
+    length."""
+    p, n = A.field.p, A.n
+    # every dot or convolution entry sums at most n + 1 products: no operand
+    # is longer than n + 1
+    dtype = np.int64 if _int64_safe(p, n + 1) else object
+    ints, _ = _clear_ints(A.field, [e for r in A.rows for e in r])
+    B = np.array(ints, dtype=dtype).reshape(n, n)
+    v = np.array([1, -B[n - 1, n - 1] % p], dtype=dtype)
+    for k in range(n - 2, -1, -1):
+        R, S, M = B[k, k + 1:], B[k + 1:, k], B[k + 1:, k + 1:]
+        col = [1, -B[k, k]]
+        w = S
+        for t in range(n - 1 - k):
+            col.append(-R.dot(w))
+            if t < n - 2 - k:
+                w = M.dot(w) % p
+        c = np.array(col, dtype=dtype) % p
+        v = np.convolve(c, v)[:len(c)] % p
+    return v.tolist()

@@ -3,8 +3,11 @@
 The characteristic polynomial is computed as a product of lower-triangular
 Toeplitz "column" matrices Col(1,A)...Col(n,A), each built from a trailing
 principal submatrix and its first-row/first-column borders.  Only ring
-operations are used, so one loop (_berkowitz) serves every ring: Q, GF(p),
-F[X], F(X) and the fast rank kernel's trimmed X-polynomials (rank._Num).
+operations are used, so one loop (_berkowitz) serves every ring: Q, F[X],
+F(X) and the rank kernel's trimmed X-polynomials (_numeric._Num).  Over
+GF(p), charpoly takes the numeric scalar kernel (_numeric._berkowitz_mod_p),
+the same recurrence on int64 or object arrays; trailing_charpolys stays on
+the loop for every ring, GF(p) included, and tests hold the kernel to it.
 
 The product is associated right-to-left: a column matrix times a vector is a
 truncated convolution of first columns, which avoids materializing the
@@ -15,7 +18,9 @@ product equals det(YI - A), so det(A) = (-1)^n times its constant
 coefficient.
 """
 
+from ._numeric import _berkowitz_mod_p
 from .errors import DimensionMismatch, IndexOutOfRange, NonSquare, SingularMatrix
+from .field import PrimeField
 from .matrix import Matrix
 from .poly import Polynomial, subst
 
@@ -113,7 +118,10 @@ def trailing_charpolys(A):
 
 
 def charpoly(A):
-    """Monic characteristic polynomial det(YI - A), leading term first."""
+    """Monic characteristic polynomial det(YI - A), leading term first.
+    A square matrix over GF(p) takes the numeric scalar kernel."""
+    if isinstance(A.field, PrimeField) and A.is_square():
+        return CharPoly(A.field, _berkowitz_mod_p(A), A.n)
     for ch in trailing_charpolys(A):
         pass
     return ch

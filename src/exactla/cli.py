@@ -26,7 +26,7 @@ import sys
 from . import circuit as cc
 from . import combinatorics as cb
 from .charpoly import charpoly, det
-from .errors import ExactLAError, InvalidInput, MalformedInput
+from .errors import ExactLAError, InvalidInput, MalformedInput, SizeExceeded
 from .field import GF2, GF3, QQ, PrimeField
 from .matrix import Matrix
 from .rank import (count_nonzero, greedy_basis, iota, kernel_basis,
@@ -65,9 +65,14 @@ def parse_entry(field, token):
 
 
 def format_entry(field, a):
+    try:
+        text = field.format(a)
+    except ValueError as exc:  # str(int) refuses past sys.get_int_max_str_digits()
+        raise SizeExceeded(f"an answer entry has more than "
+                           f"{sys.get_int_max_str_digits()} digits") from exc
     if isinstance(field, RationalFunctionField):
-        return field.format(a).replace(" / ", ";").replace(" ", ",")
-    return field.format(a)
+        return text.replace(" / ", ";").replace(" ", ",")
+    return text
 
 
 def _read(path):
@@ -76,14 +81,19 @@ def _read(path):
             return handle.read()
     except OSError as exc:
         raise MalformedInput(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"cannot read {path}: not UTF-8 text "
+                             f"(byte {exc.start})") from exc
 
 
 def _header_ints(line, count, lineno=1):
     parts = line.split()
-    if len(parts) != count or not all(p.lstrip("-").isdigit() for p in parts):
-        raise MalformedInput(f"expected {count} integers in the header",
-                             line=lineno)
-    return [int(p) for p in parts]
+    if len(parts) == count and all(p.lstrip("-").isdigit() for p in parts):
+        try:
+            return [int(p) for p in parts]
+        except ValueError:  # "--1", "²", or past int's digit limit
+            pass
+    raise MalformedInput(f"expected {count} integers in the header", line=lineno)
 
 
 def parse_matrix(text, field):

@@ -22,7 +22,8 @@ Two execution paths compute identical answers:
     charpoly(polize(A)) is a polynomial in X and F(X) is never needed
     (only decompose, which inverts p~(0), works over F(X)).  solve and
     decompose share one Horner helper for p~(C) applied to a vector;
-  * a fast private kernel for rationals and prime fields.  It exploits that
+  * a fast private kernel for rationals and prime fields, which lives in
+    _numeric.py, the package's one numpy module.  It exploits that
     polize(A) = diag(X^0..X^(N-1)) * B with B numeric, so every matrix-vector
     step is one numeric matmul plus row shifts on coefficient arrays
     (numpy int64 mod p, or object arrays of Python ints for Q after clearing
@@ -30,29 +31,28 @@ Two execution paths compute identical answers:
 
 The fast kernel stores each X-polynomial trimmed, as (offset, array) with
 nonzero end coefficients, or None for zero, and each vector of them as its
-possibly nonzero rows over one X-span.  The X-polynomials are a ring (_Num)
-run through charpoly.py's one Berkowitz loop, so both paths yield CharPoly
-values.  B is bipartite, so half of every Berkowitz vector and first column
-is zero, and low X-degrees start out empty: the Toeplitz combine convolves
-only pairs of nonzero operands, and the first-column matvecs multiply only
-the rows a vector occupies and the rows of B they reach.  solve's Horner
+possibly nonzero rows over one X-span.  The X-polynomials are a ring
+(_numeric._Num), which _fast_trailing_charpolys runs through charpoly.py's
+one Berkowitz loop, so both paths yield CharPoly values.  B is bipartite,
+so half of every Berkowitz vector and first column is zero, and low
+X-degrees start out empty: the Toeplitz combine convolves only pairs of
+nonzero operands, and the first-column matvecs multiply only the rows a
+vector occupies and the rows of B they reach.  solve's Horner
 helper applies p~(C) to chi * [b;0], whose row i is the monomial b_i X^i, so
 each scalar-times-vector step is a shift and scale.
 """
 
 from fractions import Fraction
-from math import lcm
-
-import numpy as np
 
 from .errors import (CertificateFailed, DimensionMismatch, IndexOutOfRange,
                      InvalidInput, Unsolvable, ZeroMatrix)
-from .field import PrimeField, Rationals, Ring
+from .field import PrimeField, Rationals
 from .matrix import Matrix, mat_vec
 from .poly import Polynomial, PolynomialRing
 from .ratfunc import RationalFunctionField
 from .charpoly import (_berkowitz, charpoly as _charpoly,
                        trailing_charpolys as _trailing_charpolys)
+from ._numeric import _clear_ints, _fast_first_column, _horner, _sym_parts
 
 
 # ---------------------------------------------------------------------------
@@ -166,133 +166,7 @@ class MinorSelection:
 
 
 # ---------------------------------------------------------------------------
-# fast numeric kernel (private): matrices diag(X^0..X^(N-1)) * B with B numeric
-#
-# An X-polynomial is a trimmed pair (offset, a) meaning sum_k a[k] X^(offset+k)
-# with a[0] and a[-1] nonzero, or None for zero.  A vector of X-polynomials is
-# a triple (rows, lo, W) or None: rows are the indices of its possibly
-# nonzero entries, and entry rows[k] is sum_j W[k, j] X^(lo+j).
-
-class _Num(Ring):
-    """The ring of trimmed X-polynomials, zero None, over 1-D/2-D numpy
-    arrays of plain Python ints (object dtype) or residues mod p (int64 when
-    no sum can overflow)."""
-
-    def __init__(self, p, N):
-        self.p = p
-        self.name = "Z[X]" if p is None else f"GF{p}[X]"
-        # each entry is a sum of at most N products (matvec) or of at most
-        # N(N-1)/2 + 1 products (convolution with a charpoly coefficient, whose
-        # X-degree is at most N(N-1)/2), each product below (p-1)^2
-        if p is not None and (p - 1) ** 2 * max(N, N * (N - 1) // 2 + 1) < 2 ** 63:
-            self.dtype = np.int64
-        else:
-            self.dtype = object
-
-    def red(self, a):
-        return a if self.p is None else a % self.p
-
-    def zeros(self, shape):
-        return np.zeros(shape, dtype=self.dtype)
-
-    def matmul(self, A, w):
-        return self.red(A.dot(w))
-
-    def zero(self):
-        return None
-
-    def is_zero(self, x):
-        return x is None
-
-    def mul(self, x, y):
-        """Product, itself trimmed (the coefficient rings are integral
-        domains); a monomial factor is a shift-and-scale instead of a
-        convolution."""
-        if x is None or y is None:
-            return None
-        (ox, a), (oy, b) = x, y
-        if len(a) == 1 or len(b) == 1:
-            return ox + oy, self.red(a * b)
-        return ox + oy, self.red(np.convolve(a, b))
-
-    def sum(self, items):
-        terms = [t for t in items if t is not None]
-        if len(terms) <= 1:
-            return terms[0] if terms else None
-        lo = min(o for o, _ in terms)
-        acc = self.zeros(max(o + len(a) for o, a in terms) - lo)
-        for o, a in terms:
-            acc[o - lo:o - lo + len(a)] += a
-        return _trim(lo, self.red(acc))
-
-    def format(self, x):
-        """Constant-first coefficients, as PolynomialRing.format writes them."""
-        if x is None:
-            return "0"
-        off, a = x
-        return " ".join(["0"] * off + [str(c) for c in a])
-
-
-def _trim(off, a):
-    """The trimmed pair for sum_k a[k] X^(off+k), or None if a is zero."""
-    nz = a.nonzero()[0]
-    if not len(nz):
-        return None
-    return off + int(nz[0]), a[nz[0]:nz[-1] + 1]
-
-
-def _stagger(num, rows, lo, U):
-    """The vector whose entry rows[k] is X^(lo + rows[k]) * U[k]."""
-    r0 = int(rows[0])
-    shift = (rows - r0).tolist()
-    W = num.zeros((len(rows), U.shape[1] + shift[-1]))
-    for k, s in enumerate(shift):
-        W[k, s:s + U.shape[1]] = U[k]
-    return rows, lo + r0, W
-
-
-def _matvec(num, B, base, vec):
-    """diag(X^(base+i)) * B applied to a vector: only its rows and the rows
-    of B they reach are multiplied."""
-    rows, lo, W = vec
-    sub = B[:, rows]
-    reach = sub.any(axis=1).nonzero()[0]
-    if not len(reach):
-        return None
-    return _stagger(num, reach, lo + base, num.matmul(sub[reach], W))
-
-
-def _vadd(num, x, y):
-    """Sum of two vectors."""
-    # a set union: np.union1d would import numpy.ma, several MB of RSS
-    rows = np.array(sorted({*x[0].tolist(), *y[0].tolist()}), dtype=np.intp)
-    lo = min(x[1], y[1])
-    W = num.zeros((len(rows), max(x[1] + x[2].shape[1], y[1] + y[2].shape[1]) - lo))
-    for r, l, U in (x, y):
-        W[np.searchsorted(rows, r), l - lo:l - lo + U.shape[1]] += U
-    return rows, lo, num.red(W)
-
-
-def _fast_first_column(num, B, k0):
-    """First column of Col(k0+1, diag*B): Y-coefficients as trimmed
-    X-polynomials [1, -X^k0 a, -X^k0 R S, -X^k0 R M S, ...], with a, R, S, M
-    the corner, row border, column border and trailing block of B at k0 and
-    M scaled by diag(X^(k0+1)..X^(N-1))."""
-    N = B.shape[0]
-    col = [(0, np.ones(1, dtype=num.dtype)), _trim(k0, num.red(-B[k0, k0:k0 + 1]))]
-    R, S, M = B[k0, k0 + 1:], B[k0 + 1:, k0], B[k0 + 1:, k0 + 1:]
-    rows = S.nonzero()[0]
-    w = _stagger(num, rows, k0 + 1, S[rows, None]) if len(rows) else None
-    for t in range(N - 1 - k0):
-        if w is None:
-            col.append(None)
-            continue
-        rows, lo, W = w
-        col.append(_trim(k0 + lo, num.red(-num.matmul(R[rows], W))))
-        if t < N - 2 - k0:
-            w = _matvec(num, M, k0 + 1, w)
-    return col
-
+# glue from the numeric kernel (_numeric.py) to the one Berkowitz loop
 
 def _fast_trailing_charpolys(num, B):
     """Yield the CharPoly over num of every trailing principal block of
@@ -307,55 +181,12 @@ def _fast_charpoly(num, B):
     return ch
 
 
-def _horner(num, B, ch, b_ints):
-    """sum_{j=1}^{N-mul} t_(j+mul) C^(j-1) w0 by Horner, where
-    C = diag(X^0..X^(N-1)) * B, t_k is the Y^k coefficient of ch = charpoly(C),
-    mul its root-0 multiplicity and w0 = chi_N * [b; 0].
-    Row i of w0 is the monomial b_i X^i, so t * w0 is t shifted and scaled
-    row by row.  Returns a vector in the kernel's (rows, lo, W) form."""
-    N = B.shape[0]
-    mul = ch.root0_mul()
-    brows = np.array([i for i, x in enumerate(b_ints) if x], dtype=np.intp)
-    bvals = np.array([b_ints[i] for i in brows], dtype=num.dtype)
-    acc = None
-    for j in range(N - mul, 0, -1):
-        if acc is not None:
-            acc = _matvec(num, B, 0, acc)
-        t = ch.coeff_of(j + mul)
-        if t is not None and len(brows):
-            term = _stagger(num, brows, t[0], num.red(np.multiply.outer(bvals, t[1])))
-            acc = term if acc is None else _vadd(num, acc, term)
-    return acc
-
-
 def _use_fast(field, method):
     """method="auto" or "fast" takes the fast kernel wherever it applies
     (rationals and prime fields); "generic" always takes the generic path."""
     if method not in ("auto", "fast", "generic"):
         raise InvalidInput(f"unknown method {method!r} (auto, fast or generic)")
     return method != "generic" and isinstance(field, (Rationals, PrimeField))
-
-
-def _clear_ints(field, elems):
-    """Integer images of the elements plus the exact scale used."""
-    if isinstance(field, PrimeField):
-        return [int(e) % field.p for e in elems], 1
-    scale = lcm(*(Fraction(e).denominator for e in elems)) if elems else 1
-    return [int(e * scale) for e in elems], scale
-
-
-def _sym_parts(field, A):
-    """Numeric kernel data for polize(A): (num, B, scale)."""
-    m, n = A.m, A.n
-    N = m + n
-    ints, scale = _clear_ints(field, [e for r in A.rows for e in r])
-    num = _Num(field.p if isinstance(field, PrimeField) else None, N)
-    B = num.zeros((N, N))
-    for i in range(m):
-        for j in range(n):
-            B[i, m + j] = ints[i * n + j]
-            B[m + j, i] = ints[i * n + j]
-    return num, num.red(B), scale
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from exactla import oracles
 from exactla.charpoly import (CharPoly, adjugate, berkowitz_col, charpoly, det,
                               inverse, quasi_inverse, trailing_charpolys)
 from exactla.errors import DimensionMismatch, NonSquare, SingularMatrix
-from exactla.field import GF2, GF3, QQ
+from exactla.field import GF2, GF3, QQ, PrimeField
 from exactla.matrix import Matrix
 from exactla.poly import Polynomial, PolynomialRing, subst
 from exactla.ratfunc import RationalFunctionField
@@ -85,6 +86,69 @@ def test_det_against_cofactor_oracle():
         for _ in range(80):
             A = _rand(rng, field, rng.randint(1, 4))
             assert field.eq(det(A), oracles.cofactor_det(A))
+
+
+def _generic_charpoly(A):
+    """The last value of trailing_charpolys: the one Berkowitz loop, which
+    charpoly bypasses over GF(p)."""
+    for ch in trailing_charpolys(A):
+        pass
+    return ch
+
+
+def _assert_scalar_kernel_matches_generic(A):
+    ch, want = charpoly(A), _generic_charpoly(A)
+    assert ch.n == want.n == A.n
+    assert ch.coeffs == want.coeffs
+    assert all(type(c) is int for c in ch.coeffs)
+
+
+def test_gfp_charpoly_equals_the_generic_loop():
+    # GF(2^61 - 1) is beyond the int64 guard at every size: object arrays
+    rng = SplitMix64(97)
+    for field in (GF2, GF3, PrimeField(1000003), PrimeField(2 ** 61 - 1)):
+        p = field.p
+        nilpotent = [[rng.below(p) if j > i else 0 for j in range(6)] for i in range(6)]
+        deficient = [[rng.below(p) for _ in range(5)] for _ in range(4)]
+        deficient.insert(2, [(a + b) % p for a, b in zip(deficient[0], deficient[1])])
+        cases = [_rand(rng, field, n) for n in range(1, 13)] + [
+            Matrix(field, [[rng.below(p)]]),
+            Matrix.zeros(field, 4, 4),
+            Matrix.identity(field, 5),
+            Matrix(field, nilpotent),
+            Matrix(field, deficient),
+        ]
+        for A in cases:
+            _assert_scalar_kernel_matches_generic(A)
+            if A.n <= 6:
+                assert field.eq(det(A), oracles.cofactor_det(A))
+        assert charpoly(Matrix(field, nilpotent)).coeffs == (1,) + (0,) * 6
+        assert det(Matrix(field, deficient)) == 0
+        with pytest.raises(NonSquare):
+            charpoly(Matrix.zeros(field, 2, 3))
+
+
+def test_scalar_kernel_int64_guard_threshold(monkeypatch):
+    # n = 6: a convolution sums at most n + 1 = 7 products
+    below, above = 1147878283, 1147878307  # consecutive primes
+    assert (below - 1) ** 2 * 7 < 2 ** 63 <= (above - 1) ** 2 * 7
+    dtypes = []
+    convolve = np.convolve
+
+    def spy(a, v):
+        dtypes.append(a.dtype)
+        return convolve(a, v)
+
+    monkeypatch.setattr(np, "convolve", spy)
+    rng = SplitMix64(101)
+    for p, dtype in ((below, np.int64), (above, object)):
+        F = PrimeField(p)
+        top = p - 1  # every product at its largest
+        for A in (Matrix(F, [[top] * 6 for _ in range(6)]),
+                  Matrix(F, [[rng.below(p) for _ in range(6)] for _ in range(6)])):
+            dtypes.clear()
+            _assert_scalar_kernel_matches_generic(A)
+            assert dtypes == [np.dtype(dtype)] * 5
 
 
 def test_det_of_char_matrix():

@@ -1,4 +1,6 @@
+import contextlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import exactla
 from exactla.charpoly import CharPoly
@@ -150,6 +153,33 @@ def test_exit_code_malformed(tmp_path, capsys):
     assert run(["det", bad]) == 2
     missing = str(tmp_path / "nope.txt")
     assert run(["det", missing]) == 2
+
+
+@pytest.mark.parametrize("header", ["--1 1", "1 --1", "² 1", "9" * 5000 + " 1"],
+                         ids=["sign-sign", "sign-sign-2", "superscript", "5000-digits"])
+def test_header_int_refused_by_int_exits_2(tmp_path, capsys, header):
+    # each passes the digit check but not int(): a repeated sign, a
+    # superscript digit, a number past int's 4300-digit str limit
+    A = _write(tmp_path, "A.txt", f"{header}\n1\n")
+    assert run(["det", A]) == 2
+    assert capsys.readouterr().err == "error: expected 2 integers in the header at line 1\n"
+
+
+def test_answer_past_the_digit_limit_exits_1(tmp_path, capsys):
+    big = "9" * 3000
+    A = _write(tmp_path, "A.txt", f"2 2\n{big} 0\n0 {big}\n")
+    for field in ("Q", "Q(X)"):
+        assert run(["det", "--field", field, A]) == 1
+        err = capsys.readouterr().err
+        assert err == "failed: SizeExceeded: an answer entry has more than 4300 digits\n"
+
+
+def test_non_utf8_input_exits_2(tmp_path, capsys):
+    path = tmp_path / "A.txt"
+    path.write_bytes(b"1 1\n\xff\n")
+    assert run(["det", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot read {path}: not UTF-8 text (byte 4)\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -387,3 +417,65 @@ def test_base_field_commands_golden(tmp_path, capsys, monkeypatch, argv, code, o
         _write(tmp_path, name, text)
     assert run(argv) == code
     assert capsys.readouterr().out == out
+
+
+# --- fuzzer: every input ends in an answer or a typed error ------------------
+
+_FUZZ_FIELDS = ("Q", "GF2", "GF3", "GF1000003", "Q(X)", "GF3(X)",
+                "GF4", "GF", "GF-3", "GFx", "Q(Y)", "R", "", "GF1e3", "gf2")
+
+_FUZZ_TOKENS = ("1/2", "-3/4", "0.25", "1/0", "x", "1e5", "--1", "1,2", "1;0,1",
+                "1,", ";", "½", "٣", "²", "nan", "inf", "0x1f")
+
+
+@st.composite
+def _fuzz_file(draw, vector):
+    """File bytes near the matrix (or vector) format: headers right and
+    wrong, tokens good and bad, huge numbers, truncation and non-UTF-8."""
+    m, n = draw(st.integers(-1, 3)), draw(st.integers(-1, 3))
+    # two entries of 2200 digits multiply past int's 4300-digit str limit
+    token = st.one_of(st.integers(-9, 9).map(str), st.sampled_from(_FUZZ_TOKENS),
+                      st.sampled_from((30, 2200, 4400)).map(lambda d: "9" * d))
+    header = f"{n}" if vector else f"{m} {n}"
+    header = draw(st.sampled_from((header, header, "", "x y", "2", "1 1 1",
+                                   "9" * 5000 + " 1", "² 1", "--1 2")))
+    if draw(st.booleans()):  # the declared shape
+        shape = (1, max(n, 0)) if vector else (max(m, 0), max(n, 0))
+        rows = draw(st.lists(st.lists(token, min_size=shape[1], max_size=shape[1]),
+                             min_size=shape[0], max_size=shape[0]))
+    else:
+        rows = draw(st.lists(st.lists(token, max_size=4), max_size=4))
+    text = "\n".join([header] + [" ".join(r) for r in rows]).encode()
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        bad = draw(st.sampled_from((b"\xff", b"\xc3", b"\x80\x80", b"\xed\xa0\x80")))
+        text = text[:at] + bad + text[at:]
+    return text
+
+
+@settings(max_examples=150)
+@given(command=st.sampled_from(("det", "charpoly", "rank", "kernel", "basis",
+                                "minor", "solve", "ct")),
+       field=st.sampled_from(_FUZZ_FIELDS), data=st.data())
+def test_cli_fuzz_exits_cleanly(tmp_path_factory, command, field, data):
+    # exit 0, 1 or 2; a failure is one line of `error:` or `failed:`, never
+    # a traceback, and no case takes long
+    root = tmp_path_factory.mktemp("fuzz")
+    first = root / "first.txt"
+    first.write_bytes(data.draw(_fuzz_file(vector=command == "ct")))
+    argv = [command, "--field", field, str(first)]
+    if command == "solve":
+        rhs = root / "rhs.txt"
+        rhs.write_bytes(data.draw(_fuzz_file(vector=True)))
+        argv.append(str(rhs))
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert time.perf_counter() - start < 2
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().startswith(("error:", "failed:"))
+        assert "Traceback" not in err.getvalue()
