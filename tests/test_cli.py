@@ -479,3 +479,116 @@ def test_cli_fuzz_exits_cleanly(tmp_path_factory, command, field, data):
     if code:
         assert err.getvalue().startswith(("error:", "failed:"))
         assert "Traceback" not in err.getvalue()
+
+
+# Every other command, text and --json, and --json of the matrix commands
+# over Q and Q(X).  An entry's text of None is pinned by the tests above;
+# a report of None means --json prints nothing (the command fails).
+_MORE_FILES = {
+    "sq.txt": "3 3\n2 1/2 1\n1 3 2\n1 0 0\n",
+    "rect.txt": "3 4\n1 1/2 0 1\n2 1 0 2\n0 1 1/3 0\n",
+    "b.txt": "3\n1 -2 1/2\n",
+    "sq_x.txt": "2 2\n1,1 0,1;1,1\n2 1;0,1\n",
+    "rect_x.txt": "2 3\n1 0,1 2;1,1\n2 0,2 4;1,1\n",
+    "b_x.txt": "2\n1;1,1 0,1\n",
+    "v.txt": "5\n1 0 -2\n0 3/4\n",
+    "c.sexp": "(add (div (var x) (var y)) (const 1))\n",
+    "odd.txt": "4 3\n1110\n1101\n1011\n",
+    "even.txt": "4 2\n1100\n0011\n",
+    "fano.txt": "7 7\n1101000\n0110100\n0011010\n0001101\n1000110\n0100011\n1010001\n",
+    "tri.txt": "3 3\n110\n011\n101\n",
+    "gp.txt": "4 3\n1 | 2 3 4\n2 | 3 4\n3 | 4\n",
+    "gp_bad.txt": "3 1\n1 | 2\n",
+}
+
+_BOUND_REPORT = {"upper_triangular": True, "diag_nonzero": True, "bound_holds": True}
+
+_MORE_GOLDEN = [
+    (["ct", "v.txt"], 0, "3\n", {"count": "3"}),
+    (["ct", "v.txt", "--k", "3"], 0, "2\n", {"count": "2"}),
+    (["ct", "--field", "GF3", "v.txt"], 2, "", None),
+    (["ct", "v.txt", "--k", "6"], 2, "", None),
+    (["circuit-eval", "c.sexp", "--assign", "x=1/2", "--assign", "y=3"], 0,
+     "7/6\n", {"value": "7/6"}),
+    (["circuit-eval", "--field", "GF7", "c.sexp", "--assign", "x=1", "--assign", "y=3"],
+     0, "6\n", {"value": "6"}),
+    (["circuit-eval", "--field", "Q(X)", "c.sexp", "--assign", "x=0,1",
+      "--assign", "y=1,1"], 0, "1,2;1,1\n", {"value": "1,2;1,1"}),
+    (["circuit-eval", "c.sexp", "--assign", "x=1", "--assign", "y=0"], 1, "", None),
+    (["oddtown", "odd.txt"], 0, "m = 3, n = 4, gf2 rank = 3, bound holds\n",
+     {"m": "3", "n": "4", "gf2_rank": "3", "bound_holds": True}),
+    (["oddtown", "--field", "R", "odd.txt"], 0,  # --field is ignored here
+     "m = 3, n = 4, gf2 rank = 3, bound holds\n",
+     {"m": "3", "n": "4", "gf2_rank": "3", "bound_holds": True}),
+    (["oddtown", "even.txt"], 1, "", None),
+    (["fisher", "fano.txt", "--lam", "1"], 0,
+     "m = 7, n = 7, gram det = 576, bound holds\n",
+     {"m": "7", "n": "7", "gram_det": "576", "bound_holds": True}),
+    (["fisher", "tri.txt", "--lam", "1"], 0, "m = 3, n = 3, gram det = 4, bound holds\n",
+     {"m": "3", "n": "3", "gram_det": "4", "bound_holds": True}),
+    (["fisher", "odd.txt", "--lam", "1"], 1, "", None),
+    (["graham-pollak", "gp.txt"], 0, "n = 4, bicliques = 3, bound holds\n",
+     {"n": "4", "count": "3", "bound_holds": True}),
+    (["graham-pollak", "gp_bad.txt"], 1, "", None),
+    (["rcw", "tri.txt", "--intersections", "1"], 0,
+     "m = 3, n = 3, s = 1, bound = 4, bound holds\n",
+     {"m": "3", "n": "3", "s": "1", "bound": "4", **_BOUND_REPORT}),
+    (["rcw", "fano.txt", "--intersections", "0,1"], 0,
+     "m = 7, n = 7, s = 2, bound = 29, bound holds\n",
+     {"m": "7", "n": "7", "s": "2", "bound": "29", **_BOUND_REPORT}),
+    (["rcw", "tri.txt", "--intersections", "0"], 1, "", None),
+    (["ramsey", "--k", "2"], 0,
+     "k = 2, vertices = 4, edge rule: entry odd\nrank2 = 2, rank3 = 3\n"
+     "clique = 2 <= 3\nindependence = 2 <= 7\n0110\n1001\n1001\n0110\n",
+     {"k": "2", "n": "4", "edge_rule": "odd", "rank2": "2", "rank3": "3",
+      "clique": "2", "independence": "2", "clique_bound": "3",
+      "independence_bound": "7", "bounds_hold": True,
+      "adjacency": ["0110", "1001", "1001", "0110"]}),
+    (["or-poly", "--k", "4", "--p", "2", "--e", "2"], 0,
+     "mod 2^2: coefficients 0 1 1 1\nvalues on 0..3: 0 1 1 1\n",
+     {"p": "2", "e": "2", "coeffs": ["0", "1", "1", "1"], "window": ["0", "1", "1", "1"]}),
+    (["or-poly", "--k", "3", "--p", "3", "--e", "1"], 0,
+     "mod 3^1: coefficients 0 1 2\nvalues on 0..2: 0 1 1\n",
+     {"p": "3", "e": "1", "coeffs": ["0", "1", "2"], "window": ["0", "1", "1"]}),
+    (["det", "sq.txt"], 0, None, {"det": "-2"}),
+    (["det", "--field", "Q(X)", "sq_x.txt"], 0, None, {"det": "1,2,-1;0,1,1"}),
+    (["charpoly", "sq.txt"], 0, None, {"leading_first": ["1", "-5", "9/2", "2"]}),
+    (["charpoly", "--field", "Q(X)", "sq_x.txt"], 0, None,
+     {"leading_first": ["1", "-1,-1,-1;0,1", "1,2,-1;0,1,1"]}),
+    (["rank", "rect.txt"], 0, None, {"rank": "2"}),
+    (["rank", "--field", "Q(X)", "rect_x.txt"], 0, None, {"rank": "1"}),
+    (["solve", "sq.txt", "b.txt"], 0, None, {"solution": ["1/2", "-5/4", "5/8"]}),
+    (["solve", "--field", "Q(X)", "sq_x.txt", "b_x.txt"], 0, None,
+     {"solution": ["-1,0,0,1;-1,-2,1", "0,2,-1,-2,-1;-1,-2,1"]}),
+    (["kernel", "rect.txt"], 0, None,
+     {"n": "4", "columns": [["-1/6", "1/3", "-1", "0"], ["1", "0", "0", "-1"]]}),
+    (["kernel", "--field", "Q(X)", "rect_x.txt"], 0, None,
+     {"n": "3", "columns": [["0,1", "-1", "0"], ["2;1,1", "0", "-1"]]}),
+    (["kernel", "sq.txt"], 0, "3 0\n", {"n": "3", "columns": []}),
+    (["kernel", "--field", "Q(X)", "sq_x.txt"], 0, "2 0\n", {"n": "2", "columns": []}),
+    (["basis", "rect.txt"], 0, None,
+     {"selected": ["1", "2"],
+      "basis": ["3 4", "1 1/2 0 0", "2 1 0 0", "0 1 0 0"],
+      "coeffs": ["4 4", "1 0 -1/6 1", "0 1 1/3 0", "0 0 0 0", "0 0 0 0"]}),
+    (["basis", "--field", "Q(X)", "rect_x.txt"], 0, None,
+     {"selected": ["1"], "basis": ["2 3", "1 0 0", "2 0 0"],
+      "coeffs": ["3 3", "1 0,1 2;1,1", "0 0 0", "0 0 0"]}),
+    (["minor", "rect.txt"], 0, None, {"U": ["1", "3"], "V": ["1", "2"]}),
+    (["minor", "--field", "Q(X)", "rect_x.txt"], 0, None, {"U": ["1"], "V": ["1"]}),
+]
+
+
+@pytest.mark.parametrize("argv, code, text, report", _MORE_GOLDEN,
+                         ids=["-".join(t.lstrip("-") for t in a) for a, *_ in _MORE_GOLDEN])
+def test_more_commands_golden(tmp_path, capsys, monkeypatch, argv, code, text, report):
+    # pinned byte for byte: text stdout, --json stdout (indent 2, keys in
+    # report order) and the exit code of both
+    monkeypatch.chdir(tmp_path)
+    for name, body in _MORE_FILES.items():
+        _write(tmp_path, name, body)
+    if text is not None:
+        assert run(argv) == code
+        assert capsys.readouterr().out == text
+    assert run(argv + ["--json"]) == code
+    expected = "" if report is None else json.dumps(report, indent=2) + "\n"
+    assert capsys.readouterr().out == expected
