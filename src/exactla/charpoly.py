@@ -127,11 +127,15 @@ def charpoly(A):
     return ch
 
 
+def _det_of(ch):
+    """det(A) read off ch = charpoly(A)."""
+    c0 = ch.coeffs[-1]
+    return c0 if ch.n % 2 == 0 else ch.field.neg(c0)
+
+
 def det(A):
     """(-1)^n times the constant coefficient of the characteristic polynomial."""
-    p = charpoly(A)
-    c0 = p.coeffs[-1]
-    return c0 if A.n % 2 == 0 else A.field.neg(c0)
+    return _det_of(charpoly(A))
 
 
 def adjugate(A, ch=None):
@@ -153,11 +157,10 @@ def inverse(A):
     if not A.is_square():
         raise NonSquare("inverse needs a square matrix")
     ch = charpoly(A)
-    F = A.field
-    d = ch.coeffs[-1] if A.n % 2 == 0 else F.neg(ch.coeffs[-1])
-    if F.is_zero(d):
+    d = _det_of(ch)
+    if A.field.is_zero(d):
         raise SingularMatrix("determinant is zero")
-    return adjugate(A, ch).scale(F.inv(d))
+    return adjugate(A, ch).scale(A.field.inv(d))
 
 
 def quasi_inverse(A):

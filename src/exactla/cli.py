@@ -4,9 +4,14 @@ File formats
 ------------
 matrix      line 1: `m n`; then m lines of n whitespace-separated entries
 vector      line 1: `n`; then n entries (any whitespace layout)
-set family  line 1: `n m`; then m lines of n bits
-bicliques   line 1: `n k`; then k lines `a b ... | c d ...` (1-based vertices)
+set family  header `n m`; then m lines of n bits
+bicliques   header `n k`; then k lines `a b ... | c d ...` (1-based vertices)
 circuit     one s-expression, e.g. `(add (div (var x) (var y)) (const 1))`
+
+Blank lines are skipped everywhere except before a matrix or vector header,
+which must be on line 1; set-family and biclique files may start with blank
+lines.  An error names the physical line of the file, counting blank lines,
+and for a matrix or vector entry its column, the entry's place in its line.
 
 Entry literals depend on the field: `Q` takes integers, fractions and
 decimals without exponents (`-3`, `1/2`, `0.25`), `GF<p>` (p a prime below
@@ -86,40 +91,45 @@ def _read(path):
                              f"(byte {exc.start})") from exc
 
 
-def _header_ints(line, count, lineno=1):
-    parts = line.split()
+def _numbered(text, what, count, header_on_line_1=True):
+    """The `count` header integers of a file, its nonblank lines after the
+    header as (line number, line), and the number of its last line.  Line
+    numbers are physical and 1-based.  The header is the first nonblank
+    line, which with header_on_line_1 must be line 1."""
+    lines = text.splitlines()
+    body = [(i, line) for i, line in enumerate(lines, 1) if line.split()]
+    if not body or header_on_line_1 and body[0][0] != 1:
+        raise MalformedInput(f"missing {what} header", line=1)
+    (at, header), *body = body
+    parts = header.split()
     if len(parts) == count and all(p.lstrip("-").isdigit() for p in parts):
         try:
-            return [int(p) for p in parts]
+            return [int(p) for p in parts], body, len(lines)
         except ValueError:  # "--1", "²", or past int's digit limit
             pass
-    raise MalformedInput(f"expected {count} integers in the header", line=lineno)
+    raise MalformedInput(f"expected {count} integers in the header", line=at)
+
+
+def _entry(field, token, line=None, column=None):
+    try:
+        return parse_entry(field, token)
+    except InvalidInput as exc:
+        raise MalformedInput(str(exc), line=line, column=column) from exc
 
 
 def parse_matrix(text, field):
-    lines = text.splitlines()
-    if not lines or not lines[0].split():
-        raise MalformedInput("missing matrix header", line=1)
-    m, n = _header_ints(lines[0], 2)
+    (m, n), body, last = _numbered(text, "matrix", 2)
     if m < 1 or n < 1:
         raise MalformedInput("matrix dimensions must be positive", line=1)
-    rows = []
-    body = [ln for ln in lines[1:] if ln.split()]
     if len(body) != m:
-        raise MalformedInput(f"expected {m} rows, found {len(body)}",
-                             line=len(lines))
-    for i, line in enumerate(body):
+        raise MalformedInput(f"expected {m} rows, found {len(body)}", line=last)
+    rows = []
+    for at, line in body:
         tokens = line.split()
         if len(tokens) != n:
             raise MalformedInput(f"expected {n} entries, found {len(tokens)}",
-                                 line=i + 2, column=len(tokens) + 1)
-        row = []
-        for j, tok in enumerate(tokens):
-            try:
-                row.append(parse_entry(field, tok))
-            except InvalidInput as exc:
-                raise MalformedInput(str(exc), line=i + 2, column=j + 1) from exc
-        rows.append(row)
+                                 line=at, column=len(tokens) + 1)
+        rows.append([_entry(field, tok, at, j) for j, tok in enumerate(tokens, 1)])
     return Matrix(field, rows)
 
 
@@ -131,70 +141,53 @@ def format_matrix(field, A):
 
 
 def parse_vector(text, field):
-    lines = text.splitlines()
-    if not lines or not lines[0].split():
-        raise MalformedInput("missing vector header", line=1)
-    (n,) = _header_ints(lines[0], 1)
-    tokens = " ".join(lines[1:]).split()
-    if len(tokens) != n:
-        raise MalformedInput(f"expected {n} entries, found {len(tokens)}",
-                             line=len(lines))
-    out = []
-    for j, tok in enumerate(tokens):
-        try:
-            out.append(parse_entry(field, tok))
-        except InvalidInput as exc:
-            raise MalformedInput(str(exc), column=j + 1) from exc
-    return out
+    (n,), body, last = _numbered(text, "vector", 1)
+    cells = [(at, j, tok) for at, line in body for j, tok in enumerate(line.split(), 1)]
+    if len(cells) != n:
+        raise MalformedInput(f"expected {n} entries, found {len(cells)}", line=last)
+    return [_entry(field, tok, at, j) for at, j, tok in cells]
 
 
 def parse_set_family(text):
-    lines = [ln for ln in text.splitlines() if ln.split()]
-    if not lines:
-        raise MalformedInput("missing set-family header", line=1)
-    n, m = _header_ints(lines[0], 2)
-    if len(lines) - 1 != m:
-        raise MalformedInput(f"expected {m} bit rows, found {len(lines) - 1}",
-                             line=len(lines))
+    (n, m), body, last = _numbered(text, "set-family", 2, header_on_line_1=False)
+    if len(body) != m:
+        raise MalformedInput(f"expected {m} bit rows, found {len(body)}", line=last)
     rows = []
-    for i, line in enumerate(lines[1:]):
+    for at, line in body:
         bits = line.split()
         if len(bits) == 1 and len(bits[0]) == n:
             bits = list(bits[0])
         if len(bits) != n or any(b not in ("0", "1") for b in bits):
-            raise MalformedInput(f"expected {n} bits", line=i + 2)
+            raise MalformedInput(f"expected {n} bits", line=at)
         rows.append([int(b) for b in bits])
     return cb.SetFamily.from_bit_rows(n, rows)
 
 
 def parse_bicliques(text):
-    lines = [ln for ln in text.splitlines() if ln.split()]
-    if not lines:
-        raise MalformedInput("missing biclique header", line=1)
-    n, k = _header_ints(lines[0], 2)
-    if len(lines) - 1 != k:
-        raise MalformedInput(f"expected {k} biclique lines, found {len(lines) - 1}",
-                             line=len(lines))
+    (n, k), body, last = _numbered(text, "biclique", 2, header_on_line_1=False)
+    if len(body) != k:
+        raise MalformedInput(f"expected {k} biclique lines, found {len(body)}",
+                             line=last)
     bicliques = []
-    for i, line in enumerate(lines[1:]):
+    for at, line in body:
         if line.count("|") != 1:
-            raise MalformedInput("biclique line needs one '|'", line=i + 2)
+            raise MalformedInput("biclique line needs one '|'", line=at)
         left, right = line.split("|")
         try:
             bicliques.append(({int(t) for t in left.split()},
                               {int(t) for t in right.split()}))
         except ValueError:
             raise MalformedInput("biclique vertices must be integers",
-                                 line=i + 2) from None
+                                 line=at) from None
     return n, bicliques
 
 
-def _emit(args, report, text_lines):
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+def _int_set(text, what):
+    """The integers of a comma-separated option value."""
+    try:
+        return {int(t) for t in text.split(",")}
+    except ValueError:
+        raise InvalidInput(f"bad {what} list {text!r}") from None
 
 
 def _str_vals(report):
@@ -202,8 +195,6 @@ def _str_vals(report):
     for k, v in report.items():
         if isinstance(v, bool):
             out[k] = v
-        elif isinstance(v, (int, str)):
-            out[k] = str(v)
         elif isinstance(v, (list, tuple)):
             out[k] = [str(x) for x in v]
         else:
@@ -212,181 +203,120 @@ def _str_vals(report):
 
 
 # --- subcommand bodies ------------------------------------------------------
+# Each takes the parsed inputs that run() read for it and returns
+# (JSON report, text lines), every entry formatted once.
 
-def _cmd_det(args):
-    field = parse_field(args.field)
-    value = det(parse_matrix(_read(args.matrix), field))
-    _emit(args, {"det": format_entry(field, value)}, [format_entry(field, value)])
-    return 0
-
-
-def _cmd_charpoly(args):
-    field = parse_field(args.field)
-    ch = charpoly(parse_matrix(_read(args.matrix), field))
-    coeffs = [format_entry(field, c) for c in ch.coeffs]
-    _emit(args, {"leading_first": coeffs}, [" ".join(coeffs)])
-    return 0
+def _cmd_det(args, field, A):
+    value = format_entry(field, det(A))
+    return {"det": value}, [value]
 
 
-def _cmd_rank(args):
-    field = parse_field(args.field)
-    r = mulmuley_rank(parse_matrix(_read(args.matrix), field)).rank
-    _emit(args, {"rank": str(r)}, [str(r)])
-    return 0
+def _cmd_charpoly(args, field, A):
+    coeffs = [format_entry(field, c) for c in charpoly(A).coeffs]
+    return {"leading_first": coeffs}, [" ".join(coeffs)]
 
 
-def _cmd_solve(args):
-    field = parse_field(args.field)
-    A = parse_matrix(_read(args.matrix), field)
-    b = parse_vector(_read(args.rhs), field)
-    x = solve(A, b)  # raises Unsolvable -> exit 1
-    out = [format_entry(field, v) for v in x]
-    _emit(args, {"solution": out}, [" ".join(out)])
-    return 0
+def _cmd_rank(args, field, A):
+    r = str(mulmuley_rank(A).rank)
+    return {"rank": r}, [r]
 
 
-def _cmd_kernel(args):
-    field = parse_field(args.field)
-    A = parse_matrix(_read(args.matrix), field)
-    cols = kernel_basis(A)
-    lines = [f"{A.n} {len(cols)}"]
-    for i in range(A.n):
-        lines.append(" ".join(format_entry(field, w[i]) for w in cols))
-    if not cols:
-        lines = lines[:1]
-    _emit(args, {"n": str(A.n), "columns": [[format_entry(field, x) for x in w]
-                                            for w in cols]}, lines)
-    return 0
+def _cmd_solve(args, field, A, b):
+    x = [format_entry(field, v) for v in solve(A, b)]  # raises Unsolvable -> exit 1
+    return {"solution": x}, [" ".join(x)]
 
 
-def _cmd_basis(args):
-    field = parse_field(args.field)
-    A = parse_matrix(_read(args.matrix), field)
+def _cmd_kernel(args, field, A):
+    cols = [[format_entry(field, x) for x in w] for w in kernel_basis(A)]
+    return ({"n": str(A.n), "columns": cols},
+            [f"{A.n} {len(cols)}"] + [" ".join(row) for row in zip(*cols)])
+
+
+def _cmd_basis(args, field, A):
     sel = greedy_basis(A)
     idx = [str(i) for i in sel.indices()]
-    lines = ["selected: " + " ".join(idx),
-             format_matrix(field, sel.basis),
-             format_matrix(field, sel.coeffs)]
-    _emit(args, {"selected": idx,
-                 "basis": format_matrix(field, sel.basis).splitlines(),
-                 "coeffs": format_matrix(field, sel.coeffs).splitlines()}, lines)
-    return 0
+    basis, coeffs = format_matrix(field, sel.basis), format_matrix(field, sel.coeffs)
+    return ({"selected": idx, "basis": basis.splitlines(), "coeffs": coeffs.splitlines()},
+            ["selected: " + " ".join(idx), basis, coeffs])
 
 
-def _cmd_minor(args):
-    field = parse_field(args.field)
-    sel = max_nonsingular_minor(parse_matrix(_read(args.matrix), field))
-    lines = ["U: " + " ".join(str(i) for i in sel.U),
-             "V: " + " ".join(str(j) for j in sel.V)]
-    _emit(args, {"U": [str(i) for i in sel.U],
-                 "V": [str(j) for j in sel.V]}, lines)
-    return 0
+def _cmd_minor(args, field, A):
+    sel = max_nonsingular_minor(A)
+    U, V = [str(i) for i in sel.U], [str(j) for j in sel.V]
+    return {"U": U, "V": V}, ["U: " + " ".join(U), "V: " + " ".join(V)]
 
 
-def _cmd_ct(args):
-    field = parse_field(args.field)
-    v = parse_vector(_read(args.vector), field)
+def _cmd_ct(args, field, v):
     k = args.k if args.k is not None else len(v)
     if not 0 <= k <= len(v):
         raise InvalidInput(f"k = {k} outside 0..{len(v)}")
-    count = iota(field, count_nonzero(field, v, k)) - 1
-    _emit(args, {"count": str(count)}, [str(count)])
-    return 0
+    count = str(iota(field, count_nonzero(field, v, k)) - 1)
+    return {"count": count}, [count]
 
 
-def _cmd_circuit_eval(args):
-    field = parse_field(args.field)
-    root = cc.parse_sexpr(_read(args.circuit))
+def _cmd_circuit_eval(args, field, root):
     assignment = {}
     for item in args.assign:
         if "=" not in item:
             raise MalformedInput(f"assignment {item!r} needs name=value")
         name, _, literal = item.partition("=")
-        try:
-            assignment[name] = parse_entry(field, literal)
-        except InvalidInput as exc:
-            raise MalformedInput(str(exc)) from exc
-    value = cc.evaluate(root, field, assignment)
-    _emit(args, {"value": format_entry(field, value)},
-          [format_entry(field, value)])
-    return 0
+        assignment[name] = _entry(field, literal)
+    value = format_entry(field, cc.evaluate(root, field, assignment))
+    return {"value": value}, [value]
 
 
-def _cmd_oddtown(args):
-    report = cb.oddtown_check(parse_set_family(_read(args.family)))
-    _emit(args, _str_vals(report),
-          [f"m = {report['m']}, n = {report['n']}, "
-           f"gf2 rank = {report['gf2_rank']}, bound holds"])
-    return 0
+def _cmd_oddtown(args, family):
+    r = _str_vals(cb.oddtown_check(family))
+    return r, [f"m = {r['m']}, n = {r['n']}, gf2 rank = {r['gf2_rank']}, bound holds"]
 
 
-def _cmd_fisher(args):
-    report = cb.fisher_check(parse_set_family(_read(args.family)), args.lam)
-    _emit(args, _str_vals(report),
-          [f"m = {report['m']}, n = {report['n']}, "
-           f"gram det = {report['gram_det']}, bound holds"])
-    return 0
+def _cmd_fisher(args, family):
+    r = _str_vals(cb.fisher_check(family, args.lam))
+    return r, [f"m = {r['m']}, n = {r['n']}, gram det = {r['gram_det']}, bound holds"]
 
 
-def _cmd_graham_pollak(args):
-    n, bicliques = parse_bicliques(_read(args.partition))
-    report = cb.graham_pollak_check(n, bicliques)
-    _emit(args, _str_vals(report),
-          [f"n = {report['n']}, bicliques = {report['count']}, bound holds"])
-    return 0
+def _cmd_graham_pollak(args, partition):
+    r = _str_vals(cb.graham_pollak_check(*partition))
+    return r, [f"n = {r['n']}, bicliques = {r['count']}, bound holds"]
 
 
-def _cmd_rcw(args):
-    try:
-        L = sorted({int(t) for t in args.intersections.split(",")})
-    except ValueError:
-        raise MalformedInput(f"bad intersection list {args.intersections!r}") from None
-    report = cb.rcw_verify(parse_set_family(_read(args.family)), L)
-    _emit(args, _str_vals(report),
-          [f"m = {report['m']}, n = {report['n']}, s = {report['s']}, "
-           f"bound = {report['bound']}, bound holds"])
-    return 0
+def _cmd_rcw(args, L, family):
+    r = _str_vals(cb.rcw_verify(family, L))
+    return r, [f"m = {r['m']}, n = {r['n']}, s = {r['s']}, "
+               f"bound = {r['bound']}, bound holds"]
 
 
 def _cmd_or_poly(args):
     spec = cb.or_poly_mod_pe(args.k, args.p, args.e)
     coeffs = [str(c) for c in spec.coeffs]
     window = [str(spec.eval_count(j)) for j in range(spec.modulus)]
-    _emit(args, {"p": str(spec.p), "e": str(spec.e),
-                 "coeffs": coeffs, "window": window},
-          [f"mod {spec.p}^{spec.e}: coefficients " + " ".join(coeffs),
-           "values on 0.." + str(spec.modulus - 1) + ": " + " ".join(window)])
-    return 0
+    return ({"p": str(spec.p), "e": str(spec.e), "coeffs": coeffs, "window": window},
+            [f"mod {spec.p}^{spec.e}: coefficients " + " ".join(coeffs),
+             f"values on 0..{spec.modulus - 1}: " + " ".join(window)])
 
 
 def _cmd_ramsey(args):
     built = cb.grolmusz_graph(args.k, args.cap)
-    check = cb.ramsey_check(built["graph"], built["rank2"], built["rank3"])
-    lines = [f"k = {built['k']}, vertices = {built['n']}, edge rule: entry {built['edge_rule']}",
-             f"rank2 = {built['rank2']}, rank3 = {built['rank3']}",
-             f"clique = {check['clique']} <= {check['clique_bound']}",
-             f"independence = {check['independence']} <= {check['independence_bound']}"]
+    check = _str_vals(cb.ramsey_check(built["graph"], built["rank2"], built["rank3"]))
+    r = _str_vals({key: built[key] for key in ("k", "n", "edge_rule", "rank2", "rank3")})
     adjacency = ["".join(str(b) for b in row) for row in built["graph"].rows]
-    lines.extend(adjacency)
-    _emit(args, {"k": str(built["k"]), "n": str(built["n"]),
-                 "edge_rule": built["edge_rule"],
-                 "rank2": str(built["rank2"]), "rank3": str(built["rank3"]),
-                 **_str_vals(check), "adjacency": adjacency}, lines)
-    return 0
+    return ({**r, **check, "adjacency": adjacency},
+            [f"k = {r['k']}, vertices = {r['n']}, edge rule: entry {r['edge_rule']}",
+             f"rank2 = {r['rank2']}, rank3 = {r['rank3']}",
+             f"clique = {check['clique']} <= {check['clique_bound']}",
+             f"independence = {check['independence']} <= {check['independence_bound']}",
+             *adjacency])
 
 
 def _cmd_selftest(args):
+    """The exit code; run_all prints the PASS/FAIL lines as criteria finish."""
     only = None
     if args.only:
-        try:
-            only = {int(t) for t in args.only.split(",")}
-        except ValueError:
-            raise InvalidInput(f"bad criterion list {args.only!r}") from None
+        only = _int_set(args.only, "criterion")
         unknown = only - {num for num, *_ in CRITERIA}
         if unknown:
             raise InvalidInput(f"unknown criterion {min(unknown)} (1 to {len(CRITERIA)})")
-    ok = run_all(seed=args.seed, only=only)
-    return 0 if ok else 1
+    return 0 if run_all(seed=args.seed, only=only) else 1
 
 
 # --- driver -----------------------------------------------------------------
@@ -468,13 +398,33 @@ def build_parser():
     return top
 
 
+# Where each input is read: each of these arguments that a command has becomes,
+# in this order (--intersections before its family, rhs after the matrix), one
+# parsed value for its _cmd_*.  The lambdas look each reader up when called,
+# so a patched module global is the one that runs.
+_READERS = {
+    "intersections": lambda field, text: _int_set(text, "intersection"),
+    "matrix": lambda field, path: parse_matrix(_read(path), field),
+    "rhs": lambda field, path: parse_vector(_read(path), field),
+    "vector": lambda field, path: parse_vector(_read(path), field),
+    "family": lambda field, path: parse_set_family(_read(path)),
+    "partition": lambda field, path: parse_bicliques(_read(path)),
+    "circuit": lambda field, path: cc.parse_sexpr(_read(path)),
+}
+
+
 def run(argv):
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.threads < 1:
         parser.error(f"--threads must be positive, got {args.threads}")
     try:
-        return args.fn(args)
+        # --field first, and only for the commands that compute over it
+        over_field = any(hasattr(args, name) for name in ("matrix", "vector", "circuit"))
+        field = parse_field(args.field) if over_field else None
+        inputs = [read(field, getattr(args, name))
+                  for name, read in _READERS.items() if hasattr(args, name)]
+        result = args.fn(args, *([field] if over_field else []), *inputs)
     except (MalformedInput, InvalidInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -484,6 +434,11 @@ def run(argv):
     except AssertionError as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return 1
+    if isinstance(result, int):  # selftest, which printed its own lines
+        return result
+    report, lines = result
+    print(json.dumps(report, indent=2) if args.json else "\n".join(lines))
+    return 0
 
 
 def main():

@@ -207,6 +207,11 @@ def rcw_verify(family, L):
             raise NotLIntersecting(
                 f"sets {i} and {j} intersect in {size} points, not in L",
                 witness=(i, j, size))
+    bound = sum(binom(n, i) for i in range(s + 1))
+    report = {"m": m, "n": n, "s": s, "bound": bound,
+              "upper_triangular": True, "diag_nonzero": True, "bound_holds": True}
+    if m == 0:  # nothing to certify, and n, read off a header alone, may be huge
+        return report
     order = sorted(range(m), key=lambda i: len(family.members[i]))
     names = [f"x{j}" for j in range(1, n + 1)]
     xs = [cc.var(nm) for nm in names]
@@ -253,12 +258,10 @@ def rcw_verify(family, L):
             acc = sum(C[a][t] * M[t][b] for t in range(len(monos)))
             if acc != U[a][b]:
                 raise CertificateFailed("multilinearization is not evaluation-faithful")
-    bound = sum(binom(n, i) for i in range(s + 1))
     if m > bound:
         raise PreconditionViolated(
             f"family of {m} sets exceeds the bound {bound}", witness=m)
-    return {"m": m, "n": n, "s": s, "bound": bound,
-            "upper_triangular": True, "diag_nonzero": True, "bound_holds": True}
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +330,11 @@ def graham_pollak_check(n, bicliques):
                         f"edge {e} covered by bicliques {seen[e]} and {t + 1}",
                         witness=e)
                 seen[e] = t + 1
-    missing = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
-               if (u, v) not in seen]
+    # the first uncovered edge is among the first len(seen) + 1, however big n is
+    missing = next(((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+                    if (u, v) not in seen), None)
     if missing:
-        raise PreconditionViolated(f"edge {missing[0]} is not covered",
-                                   witness=missing[0])
+        raise PreconditionViolated(f"edge {missing} is not covered", witness=missing)
     count = len(list(bicliques))
     if count < n - 1:
         raise CertificateFailed(
@@ -431,6 +434,14 @@ def _matrix_rank(field, rows):
     return _elim_rank(field, rows)
 
 
+def _least_exponent(p, k):
+    """The least e >= 1 with (p^e)^2 >= k."""
+    e = 1
+    while (p ** e) ** 2 < k:
+        e += 1
+    return e
+
+
 def grolmusz_graph(k, cap=None):
     """The mod-6 Ramsey graph on vertex strings in [k]^k.
 
@@ -454,14 +465,8 @@ def grolmusz_graph(k, cap=None):
         verts.append(tup)
         if len(verts) == nverts:
             break
-    e2 = 1
-    while (2 ** e2) ** 2 < k:
-        e2 += 1
-    e3 = 1
-    while (3 ** e3) ** 2 < k:
-        e3 += 1
-    f1 = or_poly_mod_pe(k, 2, e2)
-    f2 = or_poly_mod_pe(k, 3, e3)
+    f1 = or_poly_mod_pe(k, 2, _least_exponent(2, k))
+    f2 = or_poly_mod_pe(k, 3, _least_exponent(3, k))
     # g = 3 f1 + 2 f2 as a CRT pair: g mod 2 = f1, g mod 3 = 2 f2
     by_dist2 = [f1.eval_count(j) for j in range(k + 1)]
     by_dist3 = [(2 * f2.eval_count(j)) % 3 for j in range(k + 1)]

@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 import exactla
 from exactla.charpoly import CharPoly
 from exactla.cli import (build_parser, format_entry, format_matrix,
-                         parse_entry, parse_field, parse_matrix,
-                         parse_set_family, parse_vector, run)
+                         parse_bicliques, parse_entry, parse_field,
+                         parse_matrix, parse_set_family, parse_vector, run)
 from exactla.errors import MalformedInput
 from exactla.field import GF2, GF3, QQ, PrimeField
 from exactla.matrix import Matrix
@@ -84,6 +84,34 @@ def test_parse_vector_and_family():
         parse_vector("2\n1\n", QQ)
     with pytest.raises(MalformedInput):
         parse_set_family("3 2\n101\n")
+
+
+@pytest.mark.parametrize("read, text, line, column", [
+    (lambda t: parse_matrix(t, QQ), "2 2\n1 2\n\n3 x\n", 4, 2),
+    (lambda t: parse_matrix(t, QQ), "2 2\n1 2\n\n3\n", 4, 2),
+    (lambda t: parse_vector(t, QQ), "4\n1 2\n\n3 x\n", 4, 2),
+    (lambda t: parse_vector(t, QQ), "4\n\n1\n \n2 3 x\n", 5, 3),
+    (parse_set_family, "3 2\n101\n\n0x1\n", 4, None),
+    (parse_set_family, "3 3\n101\n\n011\n", 4, None),
+    (parse_set_family, "\n\n3 x\n101\n", 3, None),
+    (parse_bicliques, "3 2\n1 | 2\n\n1 2\n", 4, None),
+    (parse_bicliques, "\n3 1\n\n1 | x\n", 4, None),
+], ids=["matrix-entry", "matrix-row", "vector-entry", "vector-later-line",
+        "family-bits", "family-count", "family-header", "bicliques-bar",
+        "bicliques-vertex"])
+def test_errors_name_the_physical_line(read, text, line, column):
+    # blank lines count: the location is where the bad text is in the file
+    with pytest.raises(MalformedInput) as err:
+        read(text)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_only_family_and_biclique_headers_may_follow_blank_lines():
+    assert parse_set_family("\n \n2 1\n11\n").m == 1
+    assert parse_bicliques("\n2 1\n1 | 2\n") == (2, [({1}, {2})])
+    for read in (lambda t: parse_matrix(t, QQ), lambda t: parse_vector(t, QQ)):
+        with pytest.raises(MalformedInput, match="missing .* header at line 1$"):
+            read("\n1 1\n1\n")
 
 
 def test_det_command(tmp_path, capsys):
@@ -205,6 +233,25 @@ def test_bad_arguments_exit_2_quickly(tmp_path, capsys, monkeypatch, argv):
     assert time.perf_counter() - start < 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["det", "--field", "R", "nope.txt"], "bad field selector 'R'"),
+    (["circuit-eval", "--field", "GF4", "nope.txt"], "modulus 4 is not a prime"),
+    (["solve", "bad.txt", "nope.txt"], "expected 2 entries, found 1 at line 2, column 2"),
+    (["solve", "--field", "GF2", "A.txt", "bad.txt"], "expected 1 integers in the header"),
+    (["rcw", "nope.txt", "--intersections", "1,x"], "bad intersection list '1,x'"),
+    (["oddtown", "--field", "R", "nope.txt"], "cannot read nope.txt"),
+    (["selftest", "--only", "1,,2"], "bad criterion list '1,,2'"),
+])
+def test_error_precedence(tmp_path, capsys, monkeypatch, argv, err):
+    # the field selector first, then the inputs in argv order; commands that
+    # compute over no field ignore --field
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path, "A.txt", "2 2\n1 2\n3 4\n")
+    _write(tmp_path, "bad.txt", "2 2\n1\n3 4\n")
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {err}")
 
 
 @pytest.mark.parametrize("entry", ["1;", ";1", ";", "1;2;3", "1,", ",1", "1,,2;1"])
@@ -592,3 +639,102 @@ def test_more_commands_golden(tmp_path, capsys, monkeypatch, argv, code, text, r
     assert run(argv + ["--json"]) == code
     expected = "" if report is None else json.dumps(report, indent=2) + "\n"
     assert capsys.readouterr().out == expected
+
+
+_FUZZ_INTS = st.one_of(st.integers(-1, 5).map(str),
+                       st.sampled_from(("x", "9" * 30, "9" * 5000, "--1", "²", "1.0")))
+
+_FUZZ_BAD_ROWS = st.sampled_from(("2", "1x1", "1 0 2", "-1", "١٠", "1\t0", "11 0", ""))
+
+_FUZZ_BICLIQUE = st.builds(
+    lambda left, bars, right: " ".join(left) + " |" * bars + " " + " ".join(right),
+    st.lists(st.one_of(st.integers(1, 4).map(str), _FUZZ_INTS), max_size=3),
+    st.sampled_from((0, 1, 1, 1, 1, 2)),
+    st.lists(st.one_of(st.integers(1, 4).map(str), _FUZZ_INTS), min_size=1, max_size=3))
+
+_FUZZ_SEXPR = st.recursive(
+    st.sampled_from(("(var x)", "(var y)", "(const 0)", "(const -2)") * 2 + (
+        "(var z)", "(const 1/2)", f"(const {'9' * 5000})", "(var)", "(const)", "x", "()")),
+    lambda inner: st.builds(lambda head, args: f"({head} {' '.join(args)})",
+                            st.sampled_from(("add", "mul", "div") * 5 + ("sub",)),
+                            st.one_of(st.lists(inner, min_size=2, max_size=2),
+                                      st.lists(inner, max_size=3))),
+    max_leaves=8)
+
+
+@st.composite
+def _fuzz_text(draw, command):
+    """File bytes near the set-family, biclique or circuit format: blank
+    lines, wrong counts, bad bits, a missing or doubled '|', unbalanced
+    parentheses, huge ground sets, truncation and non-UTF-8."""
+    # each sampled_from repeats its well-formed choice, so that most files get
+    # past the header, and lists it first, so that hypothesis shrinks to it
+    if command == "circuit-eval":
+        text = draw(_FUZZ_SEXPR)
+        if draw(st.sampled_from((False, False, True))):  # drop or add a parenthesis
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(st.sampled_from(("", "(", ")"))) + text[at + 1:]
+    else:
+        n = draw(st.sampled_from((3, 4, 2, 1, 0, 3, 4, 10 ** 30)))
+        bits = st.text("01", min_size=min(n, 5), max_size=min(n, 5))
+        row = _FUZZ_BICLIQUE if command == "graham-pollak" else st.one_of(
+            bits, bits.map(" ".join))
+        rows = draw(st.lists(row, max_size=4))
+        if rows and draw(st.sampled_from((False, False, True))):
+            rows[draw(st.integers(0, len(rows) - 1))] = draw(_FUZZ_BAD_ROWS)
+        header = draw(st.sampled_from((f"{n} {len(rows)}",) * 4 + (
+            f"{n} {len(rows) + 1}", f"{draw(_FUZZ_INTS)} {draw(_FUZZ_INTS)}", f"{n}", "")))
+        lines = []
+        for line in [header] + rows:
+            lines += [""] * draw(st.integers(0, 1)) + [line]
+        text = "\n".join(lines)
+    text = text.encode()
+    damage = draw(st.sampled_from((None,) * 4 + ("truncate", "bad bytes")))
+    at = draw(st.integers(0, len(text)))
+    if damage == "truncate":
+        text = text[:at]
+    elif damage == "bad bytes":
+        text = text[:at] + draw(st.sampled_from((b"\xff", b"\xc3", b"\xed\xa0\x80"))) + text[at:]
+    return text
+
+
+@pytest.mark.parametrize("command", ["oddtown", "fisher", "graham-pollak", "rcw",
+                                     "circuit-eval"])
+@settings(max_examples=30)
+@given(data=st.data())
+def test_cli_fuzz_other_formats_exit_cleanly(tmp_path_factory, command, data):
+    # the same contract as test_cli_fuzz_exits_cleanly, over the set-family,
+    # biclique and circuit files
+    path = tmp_path_factory.mktemp("fuzz") / "input.txt"
+    path.write_bytes(data.draw(_fuzz_text(command)))
+    argv = [command, str(path)]
+    if command == "circuit-eval":
+        values = st.sampled_from(("1", "0", "2", "-1") * 3 + _FUZZ_TOKENS)
+        argv += ["--field", data.draw(st.sampled_from(("Q", "GF3", "Q(X)") * 2 + ("GF4",)))]
+        argv += [f"--assign={v}={data.draw(values)}" for v in "xy"]
+    else:
+        argv += {"fisher": ["--lam", "1"], "rcw": ["--intersections", "0,1"]}.get(command, [])
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert time.perf_counter() - start < 2
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().startswith(("error:", "failed:"))
+        assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (["graham-pollak"], 1, ""),
+    (["rcw", "--intersections", "0,1"], 0,
+     f"m = 0, n = {10 ** 30}, s = 2, bound = {1 + 10 ** 30 + 10 ** 30 * (10 ** 30 - 1) // 2}, "
+     "bound holds\n"),
+])
+def test_header_only_ground_set_is_not_enumerated(tmp_path, capsys, argv, code, out):
+    # n comes from the header alone: no work may grow with n itself
+    path = _write(tmp_path, "empty.txt", f"{10 ** 30} 0\n")
+    start = time.perf_counter()
+    assert run(argv + [path]) == code
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().out == out
