@@ -1,9 +1,17 @@
 """The numeric kernels, the package's only use of numpy.
 
-Two kernels share one overflow rule, _int64_safe: residues mod p live in
-int64 arrays when no sum of products can overflow, and in object arrays of
-Python ints otherwise (and always for integers cleared from Q).
+Every array holds exact integers in one of three representations:
+  * residues mod p, in int64 when no sum of products can overflow
+    (_int64_safe) and in object arrays of Python ints otherwise;
+  * integers cleared from Q, in int64 read as Z/2^64, when _hadamard_bound
+    proves that every integer the rank kernel reads back lies below 2^63 in
+    absolute value.  Berkowitz's recurrence is division-free, so reduction
+    mod 2^64 commutes with every step, and the signed int64 view of each
+    value read back is the exact integer.  The arithmetic runs on uint64
+    views, whose wraparound C defines, where signed overflow is undefined;
+  * integers cleared from Q otherwise, in object arrays of Python ints.
 
+Two kernels use them:
   * The rank kernel computes the characteristic polynomial of
     polize(A) = diag(X^0..X^(N-1)) * B with B numeric, over the ring _Num of
     trimmed X-polynomials.  rank.py runs it through charpoly.py's one
@@ -21,7 +29,7 @@ profiler that wraps numpy.convolve sees every convolution.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -34,6 +42,40 @@ def _int64_safe(p, terms):
     return (p - 1) ** 2 * terms < 2 ** 63
 
 
+def _max_elementary(rho):
+    """max_k e_k(rho), e_k the k-th elementary symmetric polynomial."""
+    e = [1]
+    for r in rho:
+        e = [a + r * b for a, b in zip(e + [0], [0] + e)]
+    return max(e)
+
+
+def _hadamard_bound(ints, m, n, rhs=()):
+    """A bound on every integer the rank kernel reads back for the m x n
+    integer matrix `ints` (row-major) and the integer right-hand sides rhs.
+
+    Let rho_i = ceil(||row i of B||_2), B = [[0, A], [A^T, 0]].  By
+    Hadamard's inequality a minor of B on the rows I is at most
+    prod_{i in I} rho_i in absolute value.  Each X-coefficient of the Y^k
+    coefficient of a trailing-block charpoly of diag(X^i) * B is a sum of
+    principal minors of order k, so T = max_k e_k(rho) bounds it.  solve
+    reads S * chi [b; 0] with S the Y^mul coefficient of adj(YI - C): entry
+    (i, j) of S has X-coefficients that are sums of minors of B on (N-1-mul)
+    rows avoiding row j, at most e_(N-1-mul)(rho without rho_j) together, so
+    each X-coefficient of the product is at most ||b||_1 times T', the
+    largest max_k e_k(rho without rho_j) over the rows j < m of b."""
+    rows = [ints[i * n:(i + 1) * n] for i in range(m)]
+    rho = [isqrt(sum(a * a for a in r) - 1) + 1 if any(r) else 0
+           for r in rows + [ints[j::n] for j in range(n)]]
+    bound = _max_elementary(rho)
+    b_norm = max((sum(map(abs, b)) for b in rhs), default=0)
+    if b_norm:
+        # removing the least rho_j of the rows of b leaves the largest e_k
+        least = min(range(m), key=rho.__getitem__)
+        bound = max(bound, b_norm * _max_elementary(rho[:least] + rho[least + 1:]))
+    return bound
+
+
 # ---------------------------------------------------------------------------
 # the rank kernel: matrices diag(X^0..X^(N-1)) * B with B numeric
 #
@@ -44,28 +86,40 @@ def _int64_safe(p, terms):
 
 class _Num(Ring):
     """The ring of trimmed X-polynomials, zero None, over 1-D/2-D numpy
-    arrays of plain Python ints (object dtype) or residues mod p (int64 when
-    no sum can overflow)."""
+    arrays: residues mod p (int64 when no sum can overflow), integers in
+    Z/2^64 as int64 (wrap=True, for integers _hadamard_bound keeps below
+    2^63), or plain Python ints (object dtype)."""
 
-    def __init__(self, p, N):
+    def __init__(self, p, N, wrap=False):
         self.p = p
         self.name = "Z[X]" if p is None else f"GF{p}[X]"
+        self.wrap = wrap
         # each entry is a sum of at most N products (matvec) or of at most
         # N(N-1)/2 + 1 products (convolution with a charpoly coefficient, whose
         # X-degree is at most N(N-1)/2)
-        if p is not None and _int64_safe(p, max(N, N * (N - 1) // 2 + 1)):
+        if self.wrap or p is not None and _int64_safe(p, max(N, N * (N - 1) // 2 + 1)):
             self.dtype = np.int64
         else:
             self.dtype = object
 
+    def lift(self, a):
+        """a as its arithmetic runs: Z/2^64 on the uint64 view."""
+        return a.view(np.uint64) if self.wrap else a
+
     def red(self, a):
+        """An arithmetic result as stored: mod p, or Z/2^64 as signed int64."""
+        if self.wrap:
+            return a.view(np.int64)
         return a if self.p is None else a % self.p
+
+    def negated(self, a):
+        return self.red(-self.lift(a))
 
     def zeros(self, shape):
         return np.zeros(shape, dtype=self.dtype)
 
     def matmul(self, A, w):
-        return self.red(A.dot(w))
+        return self.red(self.lift(A).dot(self.lift(w)))
 
     def zero(self):
         return None
@@ -74,12 +128,13 @@ class _Num(Ring):
         return x is None
 
     def mul(self, x, y):
-        """Product, itself trimmed (the coefficient rings are integral
-        domains); a monomial factor is a shift-and-scale instead of a
-        convolution."""
+        """Product; a monomial factor is a shift-and-scale instead of a
+        convolution.  Over GF(p) and Z the product is itself trimmed; Z/2^64
+        has zero divisors, so sum trims it."""
         if x is None or y is None:
             return None
         (ox, a), (oy, b) = x, y
+        a, b = self.lift(a), self.lift(b)
         if len(a) == 1 or len(b) == 1:
             return ox + oy, self.red(a * b)
         return ox + oy, self.red(np.convolve(a, b))
@@ -87,11 +142,13 @@ class _Num(Ring):
     def sum(self, items):
         terms = [t for t in items if t is not None]
         if len(terms) <= 1:
-            return terms[0] if terms else None
+            if not terms:
+                return None
+            return _trim(*terms[0]) if self.wrap else terms[0]
         lo = min(o for o, _ in terms)
-        acc = self.zeros(max(o + len(a) for o, a in terms) - lo)
+        acc = self.lift(self.zeros(max(o + len(a) for o, a in terms) - lo))
         for o, a in terms:
-            acc[o - lo:o - lo + len(a)] += a
+            acc[o - lo:o - lo + len(a)] += self.lift(a)
         return _trim(lo, self.red(acc))
 
     def format(self, x):
@@ -136,9 +193,9 @@ def _vadd(num, x, y):
     # a set union: np.union1d would import numpy.ma, several MB of RSS
     rows = np.array(sorted({*x[0].tolist(), *y[0].tolist()}), dtype=np.intp)
     lo = min(x[1], y[1])
-    W = num.zeros((len(rows), max(x[1] + x[2].shape[1], y[1] + y[2].shape[1]) - lo))
+    W = num.lift(num.zeros((len(rows), max(x[1] + x[2].shape[1], y[1] + y[2].shape[1]) - lo)))
     for r, l, U in (x, y):
-        W[np.searchsorted(rows, r), l - lo:l - lo + U.shape[1]] += U
+        W[np.searchsorted(rows, r), l - lo:l - lo + U.shape[1]] += num.lift(U)
     return rows, lo, num.red(W)
 
 
@@ -148,7 +205,7 @@ def _fast_first_column(num, B, k0):
     the corner, row border, column border and trailing block of B at k0 and
     M scaled by diag(X^(k0+1)..X^(N-1))."""
     N = B.shape[0]
-    col = [(0, np.ones(1, dtype=num.dtype)), _trim(k0, num.red(-B[k0, k0:k0 + 1]))]
+    col = [(0, np.ones(1, dtype=num.dtype)), _trim(k0, num.negated(B[k0, k0:k0 + 1]))]
     R, S, M = B[k0, k0 + 1:], B[k0 + 1:, k0], B[k0 + 1:, k0 + 1:]
     rows = S.nonzero()[0]
     w = _stagger(num, rows, k0 + 1, S[rows, None]) if len(rows) else None
@@ -157,7 +214,7 @@ def _fast_first_column(num, B, k0):
             col.append(None)
             continue
         rows, lo, W = w
-        col.append(_trim(k0 + lo, num.red(-num.matmul(R[rows], W))))
+        col.append(_trim(k0 + lo, num.negated(num.matmul(R[rows], W))))
         if t < N - 2 - k0:
             w = _matvec(num, M, k0 + 1, w)
     return col
@@ -179,7 +236,9 @@ def _horner(num, B, ch, b_ints):
             acc = _matvec(num, B, 0, acc)
         t = ch.coeff_of(j + mul)
         if t is not None and len(brows):
-            term = _stagger(num, brows, t[0], num.red(np.multiply.outer(bvals, t[1])))
+            # asarray: ch may come from another ring (tests substitute object arrays)
+            tvals = num.lift(np.asarray(t[1], dtype=num.dtype))
+            term = _stagger(num, brows, t[0], num.red(np.multiply.outer(num.lift(bvals), tvals)))
             acc = term if acc is None else _vadd(num, acc, term)
     return acc
 
@@ -192,12 +251,18 @@ def _clear_ints(field, elems):
     return [int(e * scale) for e in elems], scale
 
 
-def _sym_parts(field, A):
-    """Numeric kernel data for polize(A): (num, B, scale)."""
+def _sym_parts(field, A, rhs=()):
+    """Numeric kernel data for polize(A): (num, B, scale).  Over Q, num is
+    Z/2^64 when _hadamard_bound proves every integer read back for A and the
+    right-hand sides rhs (solve's) below 2^63, and Z otherwise."""
     m, n = A.m, A.n
     N = m + n
     ints, scale = _clear_ints(field, [e for r in A.rows for e in r])
-    num = _Num(field.p if isinstance(field, PrimeField) else None, N)
+    if isinstance(field, PrimeField):
+        num = _Num(field.p, N)
+    else:
+        bound = _hadamard_bound(ints, m, n, [_clear_ints(field, b)[0] for b in rhs])
+        num = _Num(None, N, wrap=bound < 2 ** 63)
     B = num.zeros((N, N))
     for i in range(m):
         for j in range(n):

@@ -104,9 +104,13 @@ def _numbered(text, what, count, header_on_line_1=True):
     parts = header.split()
     if len(parts) == count and all(p.lstrip("-").isdigit() for p in parts):
         try:
-            return [int(p) for p in parts], body, len(lines)
+            sizes = [int(p) for p in parts]
         except ValueError:  # "--1", "²", or past int's digit limit
             pass
+        else:
+            if min(sizes) < 0:
+                raise MalformedInput(f"{what} header sizes must be non-negative", line=at)
+            return sizes, body, len(lines)
     raise MalformedInput(f"expected {count} integers in the header", line=at)
 
 

@@ -278,8 +278,8 @@ def oddtown_check(family):
         if inter % 2:
             raise PreconditionViolated(f"sets {i} and {j} intersect oddly ({inter})",
                                        witness=(i, j))
-    inc = Matrix(GF2, family.bit_rows())
-    r = mulmuley_rank(inc).rank
+    # an empty family has the empty incidence matrix, of rank 0
+    r = mulmuley_rank(Matrix(GF2, family.bit_rows())).rank if family.m else 0
     if r != family.m:
         raise CertificateFailed("incidence rows over GF(2) are dependent")
     if family.m > family.n:
@@ -300,9 +300,10 @@ def fisher_check(family, lam):
         if inter != lam:
             raise PreconditionViolated(
                 f"sets {i} and {j} intersect in {inter} != lambda", witness=(i, j))
-    B = Matrix(QQ, [[Fraction(x) for x in row] for row in family.bit_rows()])
-    gram = B @ B.transpose()
-    d = det(gram)
+    d = Fraction(1)  # the determinant of the empty Gram matrix
+    if family.m:
+        B = Matrix(QQ, [[Fraction(x) for x in row] for row in family.bit_rows()])
+        d = det(B @ B.transpose())
     if d == 0:
         raise CertificateFailed("Gram determinant vanished on a valid Fisher family")
     if family.m > family.n:

@@ -25,9 +25,11 @@ Two execution paths compute identical answers:
   * a fast private kernel for rationals and prime fields, which lives in
     _numeric.py, the package's one numpy module.  It exploits that
     polize(A) = diag(X^0..X^(N-1)) * B with B numeric, so every matrix-vector
-    step is one numeric matmul plus row shifts on coefficient arrays
-    (numpy int64 mod p, or object arrays of Python ints for Q after clearing
-    denominators with an exact rescale).
+    step is one numeric matmul plus row shifts on coefficient arrays: numpy
+    int64 mod p, and for Q, after clearing denominators with an exact
+    rescale, int64 read as Z/2^64 when a Hadamard bound
+    (_numeric._hadamard_bound) proves every integer read back below 2^63,
+    or object arrays of Python ints otherwise.
 
 The fast kernel stores each X-polynomial trimmed, as (offset, array) with
 nonzero end coefficients, or None for zero, and each vector of them as its
@@ -288,7 +290,7 @@ def _solve_columns(A, bs, method):
     m, n = A.m, A.n
     N = m + n
     if _use_fast(field, method):
-        num, B, scale = _sym_parts(field, A)
+        num, B, scale = _sym_parts(field, A, bs)
         ch = _fast_charpoly(num, B)
         s, t0 = ch.coeff_of(ch.root0_mul())  # p~(0) = tau_hat X^s + higher terms
         tau_hat = int(t0[0])

@@ -738,3 +738,35 @@ def test_header_only_ground_set_is_not_enumerated(tmp_path, capsys, argv, code, 
     assert run(argv + [path]) == code
     assert time.perf_counter() - start < 2
     assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["graham-pollak"], "-2 0\n"),
+    (["graham-pollak"], "3 -1\n"),
+    (["rcw", "--intersections", "0"], "-2 0\n"),
+    (["oddtown"], "\n3 -1\n"),
+    (["fisher", "--lam", "1"], "-1 0\n"),
+])
+def test_negative_header_sizes_exit_2(tmp_path, capsys, argv, text):
+    path = _write(tmp_path, "f.txt", text)
+    assert run(argv + [path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "header sizes must be non-negative at line" in captured.err
+    with pytest.raises(MalformedInput, match="non-negative"):
+        (parse_bicliques if argv[0] == "graham-pollak" else parse_set_family)(text)
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["oddtown"], "m = 0, n = 3, gf2 rank = 0, bound holds\n"),
+    (["fisher", "--lam", "1"], "m = 0, n = 3, gram det = 1, bound holds\n"),
+    (["rcw", "--intersections", "0"], "m = 0, n = 3, s = 1, bound = 4, bound holds\n"),
+])
+def test_empty_family_meets_every_bound(tmp_path, capsys, argv, out):
+    path = _write(tmp_path, "empty.txt", "3 0\n")
+    assert run(argv + [path]) == 0
+    assert capsys.readouterr().out == out
+    assert run(argv + ["--json", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["m"] == "0" and report["bound_holds"] is True
