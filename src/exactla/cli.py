@@ -395,7 +395,7 @@ def build_parser():
                 help="mod-6 Ramsey graph with verified rank bounds")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--cap", type=int, default=None,
-                   help="vertex cap for larger k")
+                   help=f"vertex cap for larger k, at most {cb.MAX_VERTICES}")
     p = command("selftest", _cmd_selftest, help="run the acceptance suites")
     p.add_argument("--only", default=None, metavar="N1,N2,...",
                    help="criterion numbers to run")

@@ -195,7 +195,7 @@ def rcw_verify(family, L):
 
     Builds the witness polynomials as circuits, checks the evaluation matrix
     U is upper triangular with nonzero diagonal under the size-sorted order,
-    and cross-checks U = C * M against the multilinearized coefficients.
+    and cross-checks U against the multilinearized coefficients.
     """
     L = sorted(set(L))
     s = len(L)
@@ -242,20 +242,16 @@ def rcw_verify(family, L):
                 raise PreconditionViolated(
                     "evaluation matrix is not upper triangular",
                     witness=(order[a] + 1, order[b] + 1))
-    # multilinearization cross-check: U = C * M over the monomial basis
-    monos = subsets_up_to(n, s)
-    C = []
+    # multilinearization cross-check: U[a][b] = sum of coefficient * monomial
+    # value at point b over a's monomials (the ones absent have coefficient 0)
     for a in range(m):
         coeffs = lincoeff(circuits[a], QQ, names)
         unexpected = [mo for mo in coeffs if len(mo) > s]
         if unexpected:
             raise PreconditionViolated("monomial of degree above |L| survived",
                                        witness=sorted(unexpected[0]))
-        C.append([coeffs.get(mo, Fraction(0)) for mo in monos])
-    M = [[monomial_value(QQ, mo, points[b]) for b in range(m)] for mo in monos]
-    for a in range(m):
         for b in range(m):
-            acc = sum(C[a][t] * M[t][b] for t in range(len(monos)))
+            acc = sum(c * monomial_value(QQ, mo, points[b]) for mo, c in coeffs.items())
             if acc != U[a][b]:
                 raise CertificateFailed("multilinearization is not evaluation-faithful")
     if m > bound:
@@ -379,6 +375,8 @@ def or_poly_mod_pe(k, p, e):
     GF(p) on the window j = 0..p^e-1."""
     if k < 0 or e < 1:
         raise InvalidInput(f"need k >= 0 and e >= 1, got k = {k}, e = {e}")
+    if e > 4 and abs(p) > 1:  # |p^e| > 16 then, and p^e may be huge to compute
+        raise InvalidInput(f"modulus {p}^{e} above the supported range")
     q = p ** e
     if q > 16:
         raise InvalidInput(f"modulus {q} above the supported range")
@@ -400,6 +398,8 @@ def or_poly_mod_pe(k, p, e):
 
 # ---------------------------------------------------------------------------
 # Grolmusz mod-6 construction
+
+MAX_VERTICES = 256  # past this, clique_number refuses the exact search
 
 def _elim_rank(field, rows):
     """Gaussian elimination row rank (used only where the size puts the
@@ -459,8 +459,8 @@ def grolmusz_graph(k, cap=None):
         raise InvalidInput(f"cap must be positive, got {cap}")
     total = k ** k
     nverts = total if cap is None else min(cap, total)
-    if nverts > 4096:
-        raise CapExceeded(f"{nverts} vertices; pass an explicit cap <= 4096")
+    if nverts > MAX_VERTICES:
+        raise CapExceeded(f"{nverts} vertices; pass an explicit cap <= {MAX_VERTICES}")
     verts = []
     for tup in product(range(1, k + 1), repeat=k):
         verts.append(tup)
@@ -509,7 +509,7 @@ def _bron_kerbosch(neighbors, n):
 
 
 def clique_number(G):
-    if G.n > 256:
+    if G.n > MAX_VERTICES:
         raise ScaleExceeded(f"{G.n} vertices is past exact-search range")
     return _bron_kerbosch([G.neighbors(i) for i in range(G.n)], G.n)
 

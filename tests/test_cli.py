@@ -223,6 +223,7 @@ def test_non_utf8_input_exits_2(tmp_path, capsys):
     ["or-poly", "--k", "0", "--p", "2", "--e", "-1"],
     ["or-poly", "--k", "-5", "--p", "3", "--e", "2"],
     ["or-poly", "--k", "1", "--p", "2", "--e", "0"],
+    ["or-poly", "--k", "1", "--p", "3", "--e", "100000000"],  # 3^(10^8) is never computed
 ])
 def test_bad_arguments_exit_2_quickly(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -233,6 +234,45 @@ def test_bad_arguments_exit_2_quickly(tmp_path, capsys, monkeypatch, argv):
     assert time.perf_counter() - start < 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_ramsey_past_the_vertex_limit_exits_1_quickly(capsys):
+    # 5^5 = 3125 vertices: refused before its matrices and ranks are built
+    start = time.perf_counter()
+    assert run(["ramsey", "--k", "5"]) == 1
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "failed: CapExceeded: 3125 vertices; pass an explicit cap <= 256\n"
+
+
+def _plus_one_constant(coeffs):
+    return {**coeffs, frozenset(): coeffs.get(frozenset(), 0) + 1}
+
+
+def _with_degree_two_monomial(coeffs):
+    return {**coeffs, frozenset({1, 2}): 1}
+
+
+@pytest.mark.parametrize("corrupt, err", [
+    (_plus_one_constant,
+     "failed: CertificateFailed: multilinearization is not evaluation-faithful\n"),
+    (_with_degree_two_monomial,
+     "failed: PreconditionViolated: monomial of degree above |L| survived\n"),
+], ids=["wrong-coefficient", "degree-above-s"])
+def test_rcw_checks_the_multilinearized_coefficients(tmp_path, capsys, monkeypatch,
+                                                     corrupt, err):
+    # the triangle with L = {1} (s = 1) passes; a wrong coefficient, or a
+    # monomial of degree s + 1, from lincoeff must fail the certificate
+    cb = importlib.import_module("exactla.combinatorics")
+    real = cb.lincoeff
+    tri = _write(tmp_path, "tri.txt", "3 3\n110\n011\n101\n")
+    assert run(["rcw", tri, "--intersections", "1"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cb, "lincoeff", lambda *args: corrupt(real(*args)))
+    assert run(["rcw", tri, "--intersections", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == err
 
 
 @pytest.mark.parametrize("argv, err", [
@@ -666,7 +706,8 @@ _FUZZ_SEXPR = st.recursive(
 def _fuzz_text(draw, command):
     """File bytes near the set-family, biclique or circuit format: blank
     lines, wrong counts, bad bits, a missing or doubled '|', unbalanced
-    parentheses, huge ground sets, truncation and non-UTF-8."""
+    parentheses, huge ground sets, wide sparse families for rcw, truncation
+    and non-UTF-8."""
     # each sampled_from repeats its well-formed choice, so that most files get
     # past the header, and lists it first, so that hypothesis shrinks to it
     if command == "circuit-eval":
@@ -677,6 +718,12 @@ def _fuzz_text(draw, command):
     else:
         n = draw(st.sampled_from((3, 4, 2, 1, 0, 3, 4, 10 ** 30)))
         bits = st.text("01", min_size=min(n, 5), max_size=min(n, 5))
+        if command == "rcw" and draw(st.booleans()):
+            # a wide ground set with at most two 1 bits a row: the work must
+            # follow the rows, not the sum_{i<=s} binom(n, i) monomials of degree <= s
+            n = draw(st.integers(300, 600))
+            bits = st.lists(st.integers(0, n - 1), max_size=2).map(
+                lambda ones: "".join("1" if j in ones else "0" for j in range(n)))
         row = _FUZZ_BICLIQUE if command == "graham-pollak" else st.one_of(
             bits, bits.map(" ".join))
         rows = draw(st.lists(row, max_size=4))

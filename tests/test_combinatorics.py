@@ -1,21 +1,22 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import exactla
 from exactla import circuit as cc
-from exactla.combinatorics import (Graph, SetFamily, binom, binom_table,
+from exactla.combinatorics import (MAX_VERTICES, Graph, SetFamily, binom, binom_table,
                                    clique_number, fisher_check,
                                    graham_pollak_check, grolmusz_graph,
                                    independence_number, lincoeff,
                                    oddtown_check, or_poly_mod_pe, ramsey_check,
                                    rcw_verify, subset_rank, subset_unrank,
                                    subsets_up_to)
-from exactla.errors import (CertificateFailed, InvalidInput,
-                            NotLIntersecting, PreconditionViolated)
+from exactla.errors import (CapExceeded, CertificateFailed, InvalidInput,
+                            NotLIntersecting, PreconditionViolated, ScaleExceeded)
 from exactla.field import QQ
 
 
@@ -70,6 +71,17 @@ def test_rcw_sunflower_of_singletons():
 def test_rcw_single_set_empty_l():
     report = rcw_verify(SetFamily(3, [{1, 2}]), [])
     assert report["m"] == 1 and report["bound"] == 1
+
+
+def test_rcw_cost_follows_the_members():
+    # three small members over 600 points: the cross-check sums over the
+    # monomials lincoeff returned, not over all 180,301 of degree <= 2
+    start = time.perf_counter()
+    report = rcw_verify(SetFamily(600, [{1, 2}, {2, 3}, {4, 5}]), [0, 1])
+    assert time.perf_counter() - start < 2
+    assert report == {"m": 3, "n": 600, "s": 2, "bound": 180301,
+                      "upper_triangular": True, "diag_nonzero": True,
+                      "bound_holds": True}
 
 
 def test_rcw_rejects_bad_intersections():
@@ -158,6 +170,10 @@ def test_or_poly_guards():
         or_poly_mod_pe(100, 2, 1)  # q^2 < k
     with pytest.raises(InvalidInput):
         or_poly_mod_pe(4, 2, 5)  # q > 16
+    with pytest.raises(InvalidInput, match="modulus 25 above"):
+        or_poly_mod_pe(4, 5, 2)
+    with pytest.raises(InvalidInput, match=r"modulus 3\^100000000 above"):
+        or_poly_mod_pe(1, 3, 10 ** 8)  # refused before 3^(10^8) is computed
 
 
 def test_grolmusz_k2():
@@ -187,6 +203,14 @@ def test_ramsey_bound_failure_raises_under_optimize():
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True)
     assert out.stdout == "False raised\n"
+
+
+def test_one_vertex_limit():
+    assert MAX_VERTICES == 256
+    with pytest.raises(CapExceeded, match="257 vertices; pass an explicit cap <= 256"):
+        grolmusz_graph(5, cap=257)
+    with pytest.raises(ScaleExceeded, match="257 vertices"):
+        clique_number(Graph([[0] * 257 for _ in range(257)]))
 
 
 def test_grolmusz_k3_capped():
