@@ -195,15 +195,7 @@ def _int_set(text, what):
 
 
 def _str_vals(report):
-    out = {}
-    for k, v in report.items():
-        if isinstance(v, bool):
-            out[k] = v
-        elif isinstance(v, (list, tuple)):
-            out[k] = [str(x) for x in v]
-        else:
-            out[k] = str(v)
-    return out
+    return {k: v if isinstance(v, bool) else str(v) for k, v in report.items()}
 
 
 # --- subcommand bodies ------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Oddtown, Fisher and Graham-Pollak verifiers with explicit rank/determinant
 certificates, the nonuniform Ray-Chaudhuri-Wilson bound with circuit-built
-polynomials and an explicit multilinearization, subset ranking, the
+polynomials whose multilinearizations are checked in the count
+(elementary-symmetric) basis, circuit multilinearization, subset ranking, the
 symmetric OR-polynomial mod p^e, and the mod-6 co-diagonal Ramsey graph
 construction with Z2/Z3 rank certificates.
 
@@ -11,7 +12,7 @@ Ground sets are [n] with 1-based elements throughout.
 
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, prod
 
 from . import circuit as cc
 from .charpoly import det
@@ -173,11 +174,6 @@ def lincoeff(root, field, names):
     return values[id(root)]
 
 
-def monomial_value(field, mono, point):
-    """Product of the coordinates of the 0/1 point over the monomial."""
-    return field.prod(point[i - 1] for i in sorted(mono))
-
-
 # ---------------------------------------------------------------------------
 # Ray-Chaudhuri-Wilson
 
@@ -189,13 +185,35 @@ def _pair_intersections(family):
             yield i + 1, j + 1, len(S[i] & S[j])
 
 
+def _count_basis(L, size):
+    """c_k = Delta^k g(0) for k = 0..deg g, where g(t) = prod_{l in L, l < size}
+    (t - l).  By Newton's forward-difference formula g(t) = sum_k c_k binom(t, k),
+    so on 0/1 points g(sum_{j in S} x_j) = sum_k c_k e_k(x_S) for |S| = size."""
+    roots = [lk for lk in L if lk < size]
+    diffs = [prod(t - lk for lk in roots) for t in range(len(roots) + 1)]
+    c = []
+    while diffs:
+        c.append(diffs[0])
+        diffs = [v - u for u, v in zip(diffs, diffs[1:])]
+    return c
+
+
 def rcw_verify(family, L):
     """Nonuniform Ray-Chaudhuri-Wilson: an L-intersecting family of distinct
     sets has at most sum_{i<=s} binom(n,i) members, s = |L|.
 
-    Builds the witness polynomials as circuits, checks the evaluation matrix
-    U is upper triangular with nonzero diagonal under the size-sorted order,
-    and cross-checks U against the multilinearized coefficients.
+    Builds the witness polynomials f_a = prod_{l in L, l < |S_a|}
+    (sum_{j in S_a} x_j - l) as circuits and checks that their evaluation
+    matrix U is upper triangular with nonzero diagonal under the size-sorted
+    order.  f_a depends only on the count t = |x & S_a|, so its
+    multilinearization is p_a = sum_k c_k e_k(x_{S_a}) in the count basis
+    (_count_basis; Babai and Frankl, Linear Algebra Methods in
+    Combinatorics, ch. 5).  The cross-check proves deg p_a <= s and
+    U[a][b] = sum_k c_k binom(|S_a & S_b|, k) for every b: the p_a take U's
+    values at the members, so they are independent in the
+    sum_{i<=s} binom(n,i)-dimensional space of multilinear polynomials of
+    degree <= s.  Past the intersections, that costs O(m^2 s) operations
+    whatever n and the member sizes are.
     """
     L = sorted(set(L))
     s = len(L)
@@ -242,17 +260,18 @@ def rcw_verify(family, L):
                 raise PreconditionViolated(
                     "evaluation matrix is not upper triangular",
                     witness=(order[a] + 1, order[b] + 1))
-    # multilinearization cross-check: U[a][b] = sum of coefficient * monomial
-    # value at point b over a's monomials (the ones absent have coefficient 0)
+    # count-basis cross-check: p_a = sum_k c_k e_k(x_{S_a}) is multilinear of
+    # degree len(c) - 1 and equals a's witness on 0/1 points; at point b it
+    # takes the value sum_k c_k binom(|S_a & S_b|, k)
+    members = [family.members[i] for i in order]
     for a in range(m):
-        coeffs = lincoeff(circuits[a], QQ, names)
-        unexpected = [mo for mo in coeffs if len(mo) > s]
-        if unexpected:
+        c = _count_basis(L, len(members[a]))
+        if len(c) > s + 1:
             raise PreconditionViolated("monomial of degree above |L| survived",
-                                       witness=sorted(unexpected[0]))
+                                       witness=sorted(members[a])[:len(c) - 1])
         for b in range(m):
-            acc = sum(c * monomial_value(QQ, mo, points[b]) for mo, c in coeffs.items())
-            if acc != U[a][b]:
+            t = len(members[a] & members[b])
+            if sum(ck * binom(t, k) for k, ck in enumerate(c)) != U[a][b]:
                 raise CertificateFailed("multilinearization is not evaluation-faithful")
     if m > bound:
         raise PreconditionViolated(

@@ -63,12 +63,6 @@ class Ring:
             acc = self.add(acc, x)
         return acc
 
-    def prod(self, items):
-        acc = self.one()
-        for x in items:
-            acc = self.mul(acc, x)
-        return acc
-
     def indicator(self, b) -> "element":
         """1 for a true condition, 0 otherwise."""
         return self.one() if b else self.zero()

@@ -280,10 +280,6 @@ class PolyMatrix:
         self.n = n
 
     @classmethod
-    def constant(cls, field, A):
-        return cls(field, [A], 0)
-
-    @classmethod
     def identity(cls, field, k):
         return cls(field, [Matrix.identity(field, k)], 0)
 
@@ -374,11 +370,3 @@ class PolyMatrix:
     def _compat(self, other):
         if self.field != other.field:
             raise DimensionMismatch("codings over different coefficient domains")
-
-
-def pm_mul(A, B):
-    return A.pm_mul(B)
-
-
-def pm_pow(k, A):
-    return A.pm_pow(k)

@@ -72,27 +72,26 @@ def count_nonzero(field, v, k):
     """Index vector of length n+1 whose denoted index, minus one, counts the
     nonzero entries among the first k coordinates of v.
 
-    Computed by the matrix-product simulation T_k ... T_1 e_1 with
-    T_j = (1-chi_j) I + chi_j S, S the shift matrix; no host-level counting.
+    Computes T_k ... T_1 e_1 with T_j = (1-chi_j) I + chi_j S, S the shift
+    matrix, applying each T_j to w as (1-chi_j) w_i + chi_j w_(i-1) in the
+    field's arithmetic; chi_j comes from field.indicator, so there is no
+    host-level counting.
     """
     n = len(v)
     if not 0 <= k <= n:
         raise IndexOutOfRange(f"prefix length {k} for a vector of length {n}")
-    size = n + 1
     z, o = field.zero(), field.one()
-    ident = Matrix.identity(field, size)
-    shift = Matrix(field, [[o if r == c + 1 else z for c in range(size)]
-                           for r in range(size)])
     w = [o] + [z] * n
     for j in range(1, k + 1):
         chi = field.indicator(not field.is_zero(v[j - 1]))
-        T = ident.scale(field.sub(o, chi)) + shift.scale(chi)
-        w = mat_vec(T, w)
+        stay = field.sub(o, chi)
+        w = [field.add(field.mul(stay, x), field.mul(chi, y))
+             for x, y in zip(w, [z] + w[:-1])]
     return w
 
 
 # ---------------------------------------------------------------------------
-# symm / chi / polize
+# symm / polize
 
 def symm(A):
     """[[0, A], [A^T, 0]], symmetric of order m+n over the base field."""
@@ -102,24 +101,17 @@ def symm(A):
     return top.vstack(bottom)
 
 
-def chi_matrix(ring, n):
-    """diag(X^0, X^1, ..., X^(n-1)) over ring, F[X] or F(X)."""
-    x = ring.gen()
-    rows = []
-    power = ring.one()
-    for i in range(n):
-        rows.append([power if j == i else ring.zero() for j in range(n)])
-        if i < n - 1:
-            power = ring.mul(power, x)
-    return Matrix(ring, rows)
-
-
 def polize(A, ring=None):
-    """chi(m+n) * symm(A) with row i scaled by X^(i-1), over ring: any
-    PolynomialRing or RationalFunctionField of A's field (F(X) by default)."""
+    """symm(A) with row i scaled by X^(i-1), i.e. diag(X^0..X^(m+n-1)) *
+    symm(A), over ring: any PolynomialRing or RationalFunctionField of A's
+    field (F(X) by default)."""
     ring = ring or RationalFunctionField(A.field)
     S = symm(A)
-    return chi_matrix(ring, S.n) @ S.map(ring.from_base, ring)
+    powers = [ring.one()]
+    while len(powers) < S.m:
+        powers.append(ring.mul(powers[-1], ring.gen()))
+    return Matrix(ring, [[ring.mul(p, ring.from_base(a)) for a in row]
+                         for p, row in zip(powers, S.rows)])
 
 
 # ---------------------------------------------------------------------------

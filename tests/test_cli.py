@@ -246,33 +246,54 @@ def test_ramsey_past_the_vertex_limit_exits_1_quickly(capsys):
     assert captured.err == "failed: CapExceeded: 3125 vertices; pass an explicit cap <= 256\n"
 
 
-def _plus_one_constant(coeffs):
-    return {**coeffs, frozenset(): coeffs.get(frozenset(), 0) + 1}
+def _plus_one_constant(c):
+    return [c[0] + 1] + c[1:]
 
 
-def _with_degree_two_monomial(coeffs):
-    return {**coeffs, frozenset({1, 2}): 1}
+def _with_degree_above_s(c):
+    return c + [1]
 
 
 @pytest.mark.parametrize("corrupt, err", [
     (_plus_one_constant,
      "failed: CertificateFailed: multilinearization is not evaluation-faithful\n"),
-    (_with_degree_two_monomial,
+    (_with_degree_above_s,
      "failed: PreconditionViolated: monomial of degree above |L| survived\n"),
 ], ids=["wrong-coefficient", "degree-above-s"])
 def test_rcw_checks_the_multilinearized_coefficients(tmp_path, capsys, monkeypatch,
                                                      corrupt, err):
-    # the triangle with L = {1} (s = 1) passes; a wrong coefficient, or a
-    # monomial of degree s + 1, from lincoeff must fail the certificate
+    # the triangle with L = {1} (s = 1) passes; a wrong count-basis
+    # coefficient, or one of degree s + 1, must fail the certificate
     cb = importlib.import_module("exactla.combinatorics")
-    real = cb.lincoeff
+    real = cb._count_basis
     tri = _write(tmp_path, "tri.txt", "3 3\n110\n011\n101\n")
     assert run(["rcw", tri, "--intersections", "1"]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(cb, "lincoeff", lambda *args: corrupt(real(*args)))
+    monkeypatch.setattr(cb, "_count_basis", lambda *args: corrupt(real(*args)))
     assert run(["rcw", tri, "--intersections", "1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == err
+
+
+def test_ct_on_a_long_vector_is_quick(tmp_path, capsys):
+    # the gadget applies each T_j to the vector, not as an (n+1)^2 matrix
+    v = [(3 * i) % 5 - 2 for i in range(150)]  # 30 zeros
+    path = _write(tmp_path, "v.txt", "150\n" + " ".join(map(str, v)) + "\n")
+    start = time.perf_counter()
+    assert run(["ct", path]) == 0
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out == "120\n"
+
+
+@pytest.mark.parametrize("n, bound", [(40, 102091), (100, 4087976)])
+def test_rcw_on_a_wide_member_is_quick(tmp_path, capsys, n, bound):
+    # one member holding all n points, with s = 4: the cross-check works in
+    # the count basis, not over the `bound` monomials of its witness
+    path = _write(tmp_path, "fam.txt", f"{n} 1\n" + "1" * n + "\n")
+    start = time.perf_counter()
+    assert run(["rcw", path, "--intersections", "0,1,2,3"]) == 0
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out == f"m = 1, n = {n}, s = 4, bound = {bound}, bound holds\n"
 
 
 @pytest.mark.parametrize("argv, err", [
@@ -568,6 +589,25 @@ def test_cli_fuzz_exits_cleanly(tmp_path_factory, command, field, data):
         assert "Traceback" not in err.getvalue()
 
 
+@pytest.mark.parametrize("field", ["Q", "GF2", "GF1000003", "Q(X)"])
+@settings(max_examples=2)
+@given(v=st.lists(st.integers(-2, 2), min_size=100, max_size=150), data=st.data())
+def test_cli_fuzz_ct_long_vectors(tmp_path_factory, field, v, data):
+    # _fuzz_file draws at most 3 entries; ct's gadget applies one T_j per
+    # entry to a vector of length n + 1, which only long vectors show
+    path = tmp_path_factory.mktemp("fuzz") / "v.txt"
+    path.write_text(f"{len(v)}\n{' '.join(map(str, v))}\n")
+    k = data.draw(st.one_of(st.none(), st.integers(0, len(v))))
+    argv = ["ct", "--field", field, str(path)] + ([] if k is None else ["--k", str(k)])
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        assert run(argv) == 0
+    assert time.perf_counter() - start < 2
+    want = sum(1 for x in v[:k] if (x % 2 if field == "GF2" else x))
+    assert out.getvalue() == f"{want}\n"
+
+
 # Every other command, text and --json, and --json of the matrix commands
 # over Q and Q(X).  An entry's text of None is pinned by the tests above;
 # a report of None means --json prints nothing (the command fails).
@@ -704,10 +744,11 @@ _FUZZ_SEXPR = st.recursive(
 
 @st.composite
 def _fuzz_text(draw, command):
-    """File bytes near the set-family, biclique or circuit format: blank
-    lines, wrong counts, bad bits, a missing or doubled '|', unbalanced
-    parentheses, huge ground sets, wide sparse families for rcw, truncation
-    and non-UTF-8."""
+    """(file bytes, rcw's --intersections): bytes near the set-family,
+    biclique or circuit format, with blank lines, wrong counts, bad bits, a
+    missing or doubled '|', unbalanced parentheses, huge ground sets, wide
+    sparse families and one-member dense ones (with s = 4) for rcw,
+    truncation and non-UTF-8."""
     # each sampled_from repeats its well-formed choice, so that most files get
     # past the header, and lists it first, so that hypothesis shrinks to it
     if command == "circuit-eval":
@@ -718,7 +759,16 @@ def _fuzz_text(draw, command):
     else:
         n = draw(st.sampled_from((3, 4, 2, 1, 0, 3, 4, 10 ** 30)))
         bits = st.text("01", min_size=min(n, 5), max_size=min(n, 5))
-        if command == "rcw" and draw(st.booleans()):
+        wide = draw(st.sampled_from((None, "sparse", "dense"))) if command == "rcw" else None
+        if wide == "dense":
+            # one well-formed row of 30-45 points with at most three 0 bits,
+            # under L = {0,1,2,3}: the work must not follow the
+            # sum_{i<=4} binom(|S|, i) monomials of the member's witness
+            n = draw(st.integers(30, 45))
+            zeros = draw(st.lists(st.integers(0, n - 1), max_size=3))
+            row = "".join("0" if j in zeros else "1" for j in range(n))
+            return f"{n} 1\n{row}\n".encode(), "0,1,2,3"
+        if wide == "sparse":
             # a wide ground set with at most two 1 bits a row: the work must
             # follow the rows, not the sum_{i<=s} binom(n, i) monomials of degree <= s
             n = draw(st.integers(300, 600))
@@ -742,7 +792,7 @@ def _fuzz_text(draw, command):
         text = text[:at]
     elif damage == "bad bytes":
         text = text[:at] + draw(st.sampled_from((b"\xff", b"\xc3", b"\xed\xa0\x80"))) + text[at:]
-    return text
+    return text, "0,1"
 
 
 @pytest.mark.parametrize("command", ["oddtown", "fisher", "graham-pollak", "rcw",
@@ -753,14 +803,16 @@ def test_cli_fuzz_other_formats_exit_cleanly(tmp_path_factory, command, data):
     # the same contract as test_cli_fuzz_exits_cleanly, over the set-family,
     # biclique and circuit files
     path = tmp_path_factory.mktemp("fuzz") / "input.txt"
-    path.write_bytes(data.draw(_fuzz_text(command)))
+    text, intersections = data.draw(_fuzz_text(command))
+    path.write_bytes(text)
     argv = [command, str(path)]
     if command == "circuit-eval":
         values = st.sampled_from(("1", "0", "2", "-1") * 3 + _FUZZ_TOKENS)
         argv += ["--field", data.draw(st.sampled_from(("Q", "GF3", "Q(X)") * 2 + ("GF4",)))]
         argv += [f"--assign={v}={data.draw(values)}" for v in "xy"]
     else:
-        argv += {"fisher": ["--lam", "1"], "rcw": ["--intersections", "0,1"]}.get(command, [])
+        argv += {"fisher": ["--lam", "1"],
+                 "rcw": ["--intersections", intersections]}.get(command, [])
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

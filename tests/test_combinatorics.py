@@ -2,13 +2,15 @@ import os
 import subprocess
 import sys
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 import exactla
 from exactla import circuit as cc
-from exactla.combinatorics import (MAX_VERTICES, Graph, SetFamily, binom, binom_table,
+from exactla.combinatorics import (MAX_VERTICES, Graph, SetFamily, _count_basis,
+                                   binom, binom_table,
                                    clique_number, fisher_check,
                                    graham_pollak_check, grolmusz_graph,
                                    independence_number, lincoeff,
@@ -55,6 +57,27 @@ def test_lincoeff_multilinear():
     assert sq[frozenset({1})] == 1 and frozenset({1, 2}) not in sq
 
 
+def test_count_basis_is_the_multilinearization():
+    # the witness prod_{l in L, l < |S|} (sum_{j in S} x_j - l), multilinearized
+    # monomial by monomial, has coefficient c_|T| on x_T for every T in S
+    for size in range(9):
+        S = range(2, 2 * size + 1, 2)
+        names = [f"x{j}" for j in range(1, 2 * size + 1)]
+        inner = cc.const(0)
+        for j in S:
+            inner = inner + cc.var(f"x{j}")
+        for mask in range(32):
+            L = [lk for lk in range(5) if mask >> lk & 1]
+            witness = cc.const(1)
+            for lk in L:
+                if lk < size:
+                    witness = witness * (inner + cc.const(-lk))
+            c = _count_basis(L, size)
+            want = {frozenset(T): c[t] for t in range(len(c))
+                    for T in combinations(S, t) if c[t]}
+            assert lincoeff(witness, QQ, names) == want, (size, L)
+
+
 def test_rcw_triangle():
     fam = SetFamily(3, [{1, 2}, {2, 3}, {1, 3}])
     report = rcw_verify(fam, [1])
@@ -74,8 +97,8 @@ def test_rcw_single_set_empty_l():
 
 
 def test_rcw_cost_follows_the_members():
-    # three small members over 600 points: the cross-check sums over the
-    # monomials lincoeff returned, not over all 180,301 of degree <= 2
+    # three small members over 600 points: the cross-check works in the count
+    # basis, not over all 180,301 monomials of degree <= 2
     start = time.perf_counter()
     report = rcw_verify(SetFamily(600, [{1, 2}, {2, 3}, {4, 5}]), [0, 1])
     assert time.perf_counter() - start < 2
