@@ -246,6 +246,21 @@ def test_ramsey_past_the_vertex_limit_exits_1_quickly(capsys):
     assert captured.err == "failed: CapExceeded: 3125 vertices; pass an explicit cap <= 256\n"
 
 
+@pytest.mark.parametrize("argv, head", [
+    (["--k", "3"], "k = 3, vertices = 27, edge rule: entry odd\n"
+                   "rank2 = 6, rank3 = 14\nclique = 4 <= 7\nindependence = 4 <= 106\n"),
+    (["--k", "4", "--cap", "64"], "k = 4, vertices = 64, edge rule: entry odd\n"
+                                  "rank2 = 8, rank3 = 36\nclique = 6 <= 9\n"
+                                  "independence = 4 <= 667\n"),
+    (["--k", "4", "--cap", "160"], "k = 4, vertices = 160, edge rule: entry odd\n"
+                                   "rank2 = 10, rank3 = 54\nclique = 9 <= 11\n"
+                                   "independence = 12 <= 1486\n"),
+], ids=["k3", "k4-cap64", "k4-cap160"])
+def test_ramsey_reports_are_pinned(capsys, argv, head):
+    assert run(["ramsey", *argv]) == 0
+    assert "".join(capsys.readouterr().out.splitlines(keepends=True)[:4]) == head
+
+
 def _plus_one_constant(c):
     return [c[0] + 1] + c[1:]
 
