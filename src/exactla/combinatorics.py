@@ -11,7 +11,7 @@ Ground sets are [n] with 1-based elements throughout.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import comb, prod
 
 from . import circuit as cc
@@ -122,9 +122,6 @@ class Graph:
             raise InvalidInput("adjacency matrix must be symmetric")
         self.n = n
         self.rows = rows
-
-    def neighbors(self, i):
-        return {j for j in range(self.n) if self.rows[i][j]}
 
     def complement(self):
         return Graph([[1 if i != j and not self.rows[i][j] else 0
@@ -329,6 +326,7 @@ def fisher_check(family, lam):
 def graham_pollak_check(n, bicliques):
     """bicliques: pairs (left, right) of disjoint vertex sets whose complete
     bipartite edge sets partition E(K_n); then there are at least n-1."""
+    bicliques = list(bicliques)
     seen = {}
     for t, (left, right) in enumerate(bicliques):
         left, right = frozenset(left), frozenset(right)
@@ -351,7 +349,7 @@ def graham_pollak_check(n, bicliques):
                     if (u, v) not in seen), None)
     if missing:
         raise PreconditionViolated(f"edge {missing} is not covered", witness=missing)
-    count = len(list(bicliques))
+    count = len(bicliques)
     if count < n - 1:
         raise CertificateFailed(
             f"{count} bicliques beat the Graham-Pollak bound {n - 1}")
@@ -480,11 +478,7 @@ def grolmusz_graph(k, cap=None):
     nverts = total if cap is None else min(cap, total)
     if nverts > MAX_VERTICES:
         raise CapExceeded(f"{nverts} vertices; pass an explicit cap <= {MAX_VERTICES}")
-    verts = []
-    for tup in product(range(1, k + 1), repeat=k):
-        verts.append(tup)
-        if len(verts) == nverts:
-            break
+    verts = list(islice(product(range(1, k + 1), repeat=k), nverts))
     f1 = or_poly_mod_pe(k, 2, _least_exponent(2, k))
     f2 = or_poly_mod_pe(k, 3, _least_exponent(3, k))
     # g = 3 f1 + 2 f2 as a CRT pair: g mod 2 = f1, g mod 3 = 2 f2
@@ -509,28 +503,39 @@ def grolmusz_graph(k, cap=None):
             "edge_rule": "odd"}
 
 
-def _bron_kerbosch(neighbors, n):
+def _max_clique(adj):
+    """Size of a largest clique, adj[v] being v's neighbour bitset (Tomita and
+    Seki, MCQ, DMTCS 2003).  Candidates go in decreasing greedy colour c; those
+    left then use colours 1..c, so the branch closes no clique past size + c."""
     best = 0
 
-    def expand(R, P, X):
+    def expand(size, P):
         nonlocal best
-        if not P and not X:
-            best = max(best, len(R))
-            return
-        pivot = max(P | X, key=lambda v: len(P & neighbors[v]))
-        for v in list(P - neighbors[pivot]):
-            expand(R | {v}, P & neighbors[v], X & neighbors[v])
-            P = P - {v}
-            X = X | {v}
+        best = max(best, size)
+        coloured, U, c = [], P, 0
+        while U:
+            c += 1
+            Q = U
+            while Q:  # class c: take the lowest candidate, drop its neighbours, repeat
+                low = Q & -Q
+                Q &= ~(adj[low.bit_length() - 1] | low)
+                U ^= low
+                coloured.append((low, c))
+        for low, c in reversed(coloured):
+            if size + c <= best:
+                return
+            expand(size + 1, P & adj[low.bit_length() - 1])
+            P ^= low
 
-    expand(frozenset(), frozenset(range(n)), frozenset())
+    expand(0, (1 << len(adj)) - 1)
     return best
 
 
 def clique_number(G):
+    """Exact, colour-bounded search (_max_clique); refused above MAX_VERTICES."""
     if G.n > MAX_VERTICES:
         raise ScaleExceeded(f"{G.n} vertices is past exact-search range")
-    return _bron_kerbosch([G.neighbors(i) for i in range(G.n)], G.n)
+    return _max_clique([sum(1 << j for j, x in enumerate(r) if x) for r in G.rows])
 
 
 def independence_number(G):

@@ -72,10 +72,10 @@ def count_nonzero(field, v, k):
     """Index vector of length n+1 whose denoted index, minus one, counts the
     nonzero entries among the first k coordinates of v.
 
-    Computes T_k ... T_1 e_1 with T_j = (1-chi_j) I + chi_j S, S the shift
-    matrix, applying each T_j to w as (1-chi_j) w_i + chi_j w_(i-1) in the
-    field's arithmetic; chi_j comes from field.indicator, so there is no
-    host-level counting.
+    Computes T_k ... T_1 e_1, T_j = (1-chi_j) I + chi_j S with S the shift,
+    as (1-chi_j) w_i + chi_j w_(i-1) in the field's arithmetic on w_0..w_j
+    only: w is zero past index j-1 before step j, so T_j keeps the tail zero.
+    chi_j comes from field.indicator, so there is no host-level counting.
     """
     n = len(v)
     if not 0 <= k <= n:
@@ -85,8 +85,8 @@ def count_nonzero(field, v, k):
     for j in range(1, k + 1):
         chi = field.indicator(not field.is_zero(v[j - 1]))
         stay = field.sub(o, chi)
-        w = [field.add(field.mul(stay, x), field.mul(chi, y))
-             for x, y in zip(w, [z] + w[:-1])]
+        w[:j + 1] = [field.add(field.mul(stay, x), field.mul(chi, y))
+                     for x, y in zip(w[:j + 1], [z] + w[:j])]
     return w
 
 

@@ -261,6 +261,13 @@ def test_ramsey_reports_are_pinned(capsys, argv, head):
     assert "".join(capsys.readouterr().out.splitlines(keepends=True)[:4]) == head
 
 
+def test_ramsey_on_192_vertices_is_quick(capsys):
+    start = time.perf_counter()
+    assert run(["ramsey", "--k", "4", "--cap", "192"]) == 0
+    assert time.perf_counter() - start < 3
+    assert "clique = 9 <= 11\n" in capsys.readouterr().out
+
+
 def _plus_one_constant(c):
     return [c[0] + 1] + c[1:]
 

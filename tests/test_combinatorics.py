@@ -6,6 +6,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import exactla
 from exactla import circuit as cc
@@ -161,6 +162,8 @@ def test_fisher_accepts():
 def test_graham_pollak_two_stars():
     report = graham_pollak_check(3, [({1}, {2, 3}), ({2}, {3})])
     assert report["count"] == 2 and report["bound_holds"]
+    # a generator is read once, so its bicliques are counted, not exhausted
+    assert graham_pollak_check(3, (b for b in [({1}, {2, 3}), ({2}, {3})])) == report
 
 
 def test_graham_pollak_rejects_cover_errors():
@@ -240,6 +243,27 @@ def test_grolmusz_k3_capped():
     built = grolmusz_graph(3, cap=27)
     assert built["n"] == 27
     assert ramsey_check(built["graph"], built["rank2"], built["rank3"])["bounds_hold"]
+
+
+def _largest_subset(n, joined):
+    """The largest k such that some k of the vertices 0..n-1 are pairwise
+    joined, by trying every subset of each size k = 1, 2, ... in turn: a
+    subset of a joined set is joined, so none of size k means none above."""
+    size = 0
+    while size < n and any(all(joined(i, j) for i, j in combinations(S, 2))
+                           for S in combinations(range(n), size + 1)):
+        size += 1
+    return size
+
+
+@given(n=st.integers(0, 12), density=st.floats(0, 1), rng=st.randoms(use_true_random=False))
+def test_clique_and_independence_numbers_match_subset_search(n, density, rng):
+    rows = [[0] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        rows[i][j] = rows[j][i] = int(rng.random() < density)
+    G = Graph(rows)
+    assert clique_number(G) == _largest_subset(n, lambda i, j: rows[i][j])
+    assert independence_number(G) == _largest_subset(n, lambda i, j: not rows[i][j])
 
 
 def test_clique_extremes():

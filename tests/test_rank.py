@@ -7,7 +7,7 @@ import pytest
 from exactla import oracles
 from exactla.charpoly import CharPoly, charpoly, trailing_charpolys
 from exactla.errors import InvalidInput, Unsolvable, ZeroMatrix
-from exactla.field import GF2, GF3, QQ, PrimeField
+from exactla.field import GF2, GF3, QQ, PrimeField, Rationals
 from exactla.matrix import Matrix, mat_vec
 from exactla.poly import Polynomial, PolynomialRing
 from exactla.rank import (count_nonzero, decompose, greedy_basis,
@@ -57,6 +57,18 @@ def test_count_nonzero_random():
         w = count_nonzero(field, v, k)
         assert sum(0 if field.is_zero(x) else 1 for x in w) == 1  # index vector
         assert iota(field, w) - 1 == oracles.direct_count(field, v, k)
+
+
+def test_count_nonzero_touches_only_its_support(monkeypatch):
+    # step j multiplies w_0..w_j only, 2(j + 1) products: k^2 + 3k in all
+    calls = []
+    mul = Rationals.mul
+    monkeypatch.setattr(Rationals, "mul", lambda self, a, b: calls.append(1) or mul(self, a, b))
+    k = 200
+    v = [Fraction(j % 3) for j in range(k)]
+    w = count_nonzero(QQ, v, k)
+    assert len(calls) <= (k + 1) * (k + 2)
+    assert iota(QQ, w) - 1 == sum(1 for x in v if x)
 
 
 # --- polize -----------------------------------------------------------------
