@@ -69,12 +69,17 @@ def parse_entry(field, token):
     return field.parse(token)
 
 
-def format_entry(field, a):
+def _text(show, a):
+    """show(a), or SizeExceeded where str(int) refuses past its digit limit."""
     try:
-        text = field.format(a)
-    except ValueError as exc:  # str(int) refuses past sys.get_int_max_str_digits()
+        return show(a)
+    except ValueError as exc:
         raise SizeExceeded(f"an answer entry has more than "
                            f"{sys.get_int_max_str_digits()} digits") from exc
+
+
+def format_entry(field, a):
+    text = _text(field.format, a)
     if isinstance(field, RationalFunctionField):
         return text.replace(" / ", ";").replace(" ", ",")
     return text
@@ -195,7 +200,7 @@ def _int_set(text, what):
 
 
 def _str_vals(report):
-    return {k: v if isinstance(v, bool) else str(v) for k, v in report.items()}
+    return {k: v if isinstance(v, bool) else _text(str, v) for k, v in report.items()}
 
 
 # --- subcommand bodies ------------------------------------------------------

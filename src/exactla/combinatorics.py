@@ -11,6 +11,7 @@ Ground sets are [n] with 1-based elements throughout.
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import islice, product
 from math import comb, prod
 
@@ -41,10 +42,22 @@ def binom_table(n_max, s):
     return [[binom(n, i) for i in range(s + 1)] for n in range(n_max + 1)]
 
 
+def _ball(n, s):
+    """sum_{i<=s} binom(n, i), term by term: binom(n, i+1) = binom(n, i)(n-i)/(i+1)."""
+    if n < 0 or s < 0:
+        return 0
+    if s >= n:
+        return 1 << n
+    total = term = 1
+    for i in range(s):
+        term = term * (n - i) // (i + 1)
+        total += term
+    return total
+
+
 def subsets_up_to(n, s):
     """All subsets of [n] of size <= s, in rank order."""
-    total = sum(binom(n, i) for i in range(s + 1))
-    return [subset_unrank(n, x, s) for x in range(1, total + 1)]
+    return [subset_unrank(n, x, s) for x in range(1, _ball(n, s) + 1)]
 
 
 def subset_rank(n, S, s):
@@ -56,14 +69,14 @@ def subset_rank(n, S, s):
     if any(not 1 <= e <= n for e in S):
         raise InvalidInput("subset element outside the ground set")
     t = len(S)
-    offset = sum(binom(n, j) for j in range(t))
+    offset = _ball(n, t - 1)
     within = sum(binom(e - 1, k + 1) for k, e in enumerate(sorted(S)))
     return 1 + offset + within
 
 
 def subset_unrank(n, x, s):
     """Inverse of subset_rank over 1..sum_{i<=s} binom(n,i)."""
-    total = sum(binom(n, i) for i in range(s + 1))
+    total = _ball(n, s)
     if not 1 <= x <= total:
         raise SizeExceeded(f"rank {x} outside 1..{total}")
     rem = x - 1
@@ -209,8 +222,9 @@ def rcw_verify(family, L):
     U[a][b] = sum_k c_k binom(|S_a & S_b|, k) for every b: the p_a take U's
     values at the members, so they are independent in the
     sum_{i<=s} binom(n,i)-dimensional space of multilinear polynomials of
-    degree <= s.  Past the intersections, that costs O(m^2 s) operations
-    whatever n and the member sizes are.
+    degree <= s.  Past the intersections, whatever n is, the witnesses'
+    points cost O(m |union S_a|), U costs O(m^2 |witness|) and the
+    cross-check O(m^2 s) operations.
     """
     L = sorted(set(L))
     s = len(L)
@@ -222,32 +236,22 @@ def rcw_verify(family, L):
             raise NotLIntersecting(
                 f"sets {i} and {j} intersect in {size} points, not in L",
                 witness=(i, j, size))
-    bound = sum(binom(n, i) for i in range(s + 1))
+    bound = _ball(n, s)
     report = {"m": m, "n": n, "s": s, "bound": bound,
               "upper_triangular": True, "diag_nonzero": True, "bound_holds": True}
     if m == 0:  # nothing to certify, and n, read off a header alone, may be huge
         return report
     order = sorted(range(m), key=lambda i: len(family.members[i]))
-    names = [f"x{j}" for j in range(1, n + 1)]
-    xs = [cc.var(nm) for nm in names]
-    rows = family.bit_rows()
+    members = [family.members[i] for i in order]
     circuits = []
-    for i in order:
-        size = len(family.members[i])
-        factors = [lk for lk in L if lk < size]
-        inner = None
-        for j in range(n):
-            if rows[i][j]:
-                inner = xs[j] if inner is None else inner + xs[j]
-        if inner is None:
-            inner = cc.const(0)
-        F = cc.const(1)
-        for lk in factors:
-            F = F * (inner + cc.const(-lk))
-        circuits.append(F)
-    points = [[QQ.from_int(bit) for bit in rows[i]] for i in order]
-    U = [[cc.evaluate(circuits[a], QQ, dict(zip(names, points[b])))
-          for b in range(m)] for a in range(m)]
+    for S in members:  # a left-deep sum over S in increasing order
+        xs = [cc.var(f"x{j}") for j in sorted(S)]
+        inner = reduce(cc.add, xs) if xs else cc.const(0)
+        factors = (inner + cc.const(-lk) for lk in L if lk < len(S))
+        circuits.append(reduce(cc.mul, factors, cc.const(1)))
+    union = set().union(*members)
+    points = [{f"x{j}": QQ.from_int(j in S) for j in union} for S in members]
+    U = [[cc.eval_alg(F, QQ, point) for point in points] for F in circuits]
     for a in range(m):
         if U[a][a] == 0:
             raise PreconditionViolated("zero diagonal in the evaluation matrix",
@@ -260,7 +264,6 @@ def rcw_verify(family, L):
     # count-basis cross-check: p_a = sum_k c_k e_k(x_{S_a}) is multilinear of
     # degree len(c) - 1 and equals a's witness on 0/1 points; at point b it
     # takes the value sum_k c_k binom(|S_a & S_b|, k)
-    members = [family.members[i] for i in order]
     for a in range(m):
         c = _count_basis(L, len(members[a]))
         if len(c) > s + 1:
@@ -418,28 +421,25 @@ def or_poly_mod_pe(k, p, e):
 
 MAX_VERTICES = 256  # past this, clique_number refuses the exact search
 
-def _elim_rank(field, rows):
-    """Gaussian elimination row rank (used only where the size puts the
-    characteristic-polynomial route out of desk range)."""
+def _elim_rank(p, rows):
+    """Row rank of a matrix of residues mod the prime p, brought to echelon
+    form with plain integer arithmetic: each pivot clears only the rows below
+    it.  Used only where the size puts the characteristic-polynomial route
+    out of desk range; kept apart from oracles.gauss_rank, the independent
+    reference that checks the Ramsey ranks (ROADMAP item 9)."""
     rows = [list(r) for r in rows]
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
     r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if not field.is_zero(rows[i][c])), None)
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for i in range(m):
-            if i != r and not field.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(f, y))
-                           for x, y in zip(rows[i], rows[r])]
+        top, inv = rows[r], pow(rows[r][c], -1, p)
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c] * inv % p
+            if f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
         r += 1
-        if r == m:
-            break
     return r
 
 
@@ -449,7 +449,7 @@ _MULMULEY_RANK_CAP = 12  # above this, fall back to elimination for the ranks
 def _matrix_rank(field, rows):
     if len(rows) <= _MULMULEY_RANK_CAP and len(rows[0]) <= _MULMULEY_RANK_CAP:
         return mulmuley_rank(Matrix(field, rows)).rank
-    return _elim_rank(field, rows)
+    return _elim_rank(field.p, rows)
 
 
 def _least_exponent(p, k):

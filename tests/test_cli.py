@@ -318,6 +318,32 @@ def test_rcw_on_a_wide_member_is_quick(tmp_path, capsys, n, bound):
     assert capsys.readouterr().out == f"m = 1, n = {n}, s = 4, bound = {bound}, bound holds\n"
 
 
+def test_rcw_on_a_120_member_sunflower_is_quick(tmp_path, capsys):
+    # core {1, 2} and disjoint 3-point petals over 400 points: each witness
+    # is built on its member's 5 points and evaluated on the 362 the members hold
+    rows = ["".join("1" if j in (1, 2, 3 * a + 3, 3 * a + 4, 3 * a + 5) else "0"
+                    for j in range(1, 401)) for a in range(120)]
+    path = _write(tmp_path, "fam.txt", "400 120\n" + "\n".join(rows) + "\n")
+    start = time.perf_counter()
+    assert run(["rcw", path, "--intersections", "2"]) == 0
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().out == "m = 120, n = 400, s = 1, bound = 401, bound holds\n"
+
+
+@pytest.mark.parametrize("top, flags", [(1399, []), (1399, ["--json"]), (4999, [])])
+def test_rcw_bound_past_the_digit_limit_exits_1(tmp_path, capsys, top, flags):
+    # sum_{i<=s} binom(10^6, i) has 4,603 digits at s = 1400: the report
+    # refuses to print it, after summing the s + 1 terms in linear time
+    path = _write(tmp_path, "empty.txt", "1000000 0\n")
+    L = ",".join(str(lk) for lk in range(top + 1))
+    start = time.perf_counter()
+    assert run(["rcw", path, "--intersections", L, *flags]) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "failed: SizeExceeded: an answer entry has more than 4300 digits\n"
+
+
 @pytest.mark.parametrize("argv, err", [
     (["det", "--field", "R", "nope.txt"], "bad field selector 'R'"),
     (["circuit-eval", "--field", "GF4", "nope.txt"], "modulus 4 is not a prime"),
@@ -769,8 +795,8 @@ def _fuzz_text(draw, command):
     """(file bytes, rcw's --intersections): bytes near the set-family,
     biclique or circuit format, with blank lines, wrong counts, bad bits, a
     missing or doubled '|', unbalanced parentheses, huge ground sets, wide
-    sparse families and one-member dense ones (with s = 4) for rcw,
-    truncation and non-UTF-8."""
+    sparse families, one-member dense ones (with s = 4) and long
+    intersection lists 0..K for rcw, truncation and non-UTF-8."""
     # each sampled_from repeats its well-formed choice, so that most files get
     # past the header, and lists it first, so that hypothesis shrinks to it
     if command == "circuit-eval":
@@ -781,7 +807,14 @@ def _fuzz_text(draw, command):
     else:
         n = draw(st.sampled_from((3, 4, 2, 1, 0, 3, 4, 10 ** 30)))
         bits = st.text("01", min_size=min(n, 5), max_size=min(n, 5))
-        wide = draw(st.sampled_from((None, "sparse", "dense"))) if command == "rcw" else None
+        wide = (draw(st.sampled_from((None, "sparse", "dense", "long")))
+                if command == "rcw" else None)
+        if wide == "long":
+            # L = {0..K} on a header alone: the bound's K + 2 terms must take
+            # linear time, and past int's str limit (at 10^30 points) exit 1
+            n = draw(st.sampled_from((10 ** 30, n)))
+            K = draw(st.integers(0, 3000))
+            return f"{n} 0\n".encode(), ",".join(map(str, range(K + 1)))
         if wide == "dense":
             # one well-formed row of 30-45 points with at most three 0 bits,
             # under L = {0,1,2,3}: the work must not follow the

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 import time
@@ -10,7 +11,8 @@ from hypothesis import given, strategies as st
 
 import exactla
 from exactla import circuit as cc
-from exactla.combinatorics import (MAX_VERTICES, Graph, SetFamily, _count_basis,
+from exactla.combinatorics import (MAX_VERTICES, _MULMULEY_RANK_CAP, Graph, SetFamily,
+                                   _ball, _count_basis, _elim_rank, _matrix_rank,
                                    binom, binom_table,
                                    clique_number, fisher_check,
                                    graham_pollak_check, grolmusz_graph,
@@ -20,7 +22,9 @@ from exactla.combinatorics import (MAX_VERTICES, Graph, SetFamily, _count_basis,
                                    subsets_up_to)
 from exactla.errors import (CapExceeded, CertificateFailed, InvalidInput,
                             NotLIntersecting, PreconditionViolated, ScaleExceeded)
-from exactla.field import QQ
+from exactla.field import GF2, GF3, QQ, PrimeField
+from exactla.matrix import Matrix
+from exactla.oracles import gauss_rank
 
 
 def test_binom():
@@ -29,6 +33,12 @@ def test_binom():
     assert binom(3, 5) == 0
     assert binom(3, -1) == 0
     assert binom_table(4, 2)[4] == [1, 4, 6]
+
+
+def test_ball_is_the_sum_of_binomials():
+    for n in range(-2, 15):
+        for s in range(-2, 17):
+            assert _ball(n, s) == sum(binom(n, i) for i in range(s + 1)), (n, s)
 
 
 def test_subset_ranking_bijective():
@@ -237,6 +247,42 @@ def test_one_vertex_limit():
         grolmusz_graph(5, cap=257)
     with pytest.raises(ScaleExceeded, match="257 vertices"):
         clique_number(Graph([[0] * 257 for _ in range(257)]))
+
+
+def _residue_matrix(rng, p, m, n):
+    """An m x n matrix of residues mod p of rank at most a random r, with a
+    zero row and a repeated row mixed in once m allows."""
+    r = rng.randint(0, min(m, n))
+    B = [[rng.randrange(p) for _ in range(r)] for _ in range(m)]
+    C = [[rng.randrange(p) for _ in range(n)] for _ in range(r)]
+    rows = [[sum(b * c for b, c in zip(row, col)) % p for col in zip(*C)] if r else [0] * n
+            for row in B]
+    if m >= 3:
+        rows[rng.randrange(m)] = [0] * n
+        rows[rng.randrange(m)] = list(rows[rng.randrange(m)])
+    return rows
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, PrimeField(1000003), PrimeField(2 ** 61 - 1)],
+                         ids=["GF2", "GF3", "GF1000003", "GF2^61-1"])
+def test_elim_rank_matches_the_oracle(field):
+    rng = random.Random(field.p)
+    sizes = (1, 2, 3, 5, 8, 13, 21, 30)
+    for m in sizes:
+        for n in sizes:
+            rows = _residue_matrix(rng, field.p, m, n)
+            assert _elim_rank(field.p, rows) == gauss_rank(Matrix(field, rows)), (m, n)
+
+
+def test_matrix_rank_agrees_on_both_sides_of_the_cap():
+    # up to the cap the ranks come from mulmuley_rank, past it from _elim_rank
+    rng = random.Random(12)
+    cap = _MULMULEY_RANK_CAP
+    for field in (GF2, GF3):
+        for m, n in [(1, 1), (1, cap), (cap, 1), (5, 9), (cap, cap),
+                     (cap, cap + 1), (cap + 1, cap), (cap + 1, cap + 1)]:
+            rows = _residue_matrix(rng, field.p, m, n)
+            assert _matrix_rank(field, rows) == gauss_rank(Matrix(field, rows)), (m, n)
 
 
 def test_grolmusz_k3_capped():
