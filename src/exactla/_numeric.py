@@ -18,11 +18,16 @@ Two kernels use them:
     Berkowitz loop, which supplies the Toeplitz combine, and through
     _horner, which applies p~(C) to a vector for solve.
   * The scalar kernel, _berkowitz_mod_p, computes the characteristic
-    polynomial of a square matrix over GF(p).  Over scalars the Toeplitz
+    polynomial of a square integer matrix mod p.  Over scalars the Toeplitz
     combine is one truncated np.convolve per trailing block, and each first
     column R M^t S is a run of ndarray.dot products, so no step goes through
     the field's Python-level operations.  charpoly.charpoly dispatches every
     square GF(p) matrix here, and det, adjugate, inverse and quasi_inverse follow.
+
+The rank kernel also runs at one point X = x0 over GF(p): _point_matrix
+builds C(x0) = diag(x0^0..x0^(N-1)) * B, the scalar kernel takes its
+characteristic polynomial, and _point_horner is _horner's sum on scalars.
+rank._point_solve reads full column rank and the solutions off them.
 
 np.convolve is always called through the numpy module attribute, so a
 profiler that wraps numpy.convolve sees every convolution.
@@ -274,20 +279,19 @@ def _sym_parts(field, A, rhs=()):
 # ---------------------------------------------------------------------------
 # the scalar kernel: square matrices over GF(p)
 
-def _berkowitz_mod_p(A):
-    """Coefficients of det(YI - A), leading first, as Python ints, for a
-    square matrix A over a PrimeField.  The Berkowitz loop of
-    charpoly._berkowitz over the trailing blocks, 1x1 corner first: the
-    first column of Col(k) is [1, -a, -R S, -R M S, ..., -R M^(n-k-1) S]
+def _berkowitz_mod_p(B, p):
+    """Coefficients of det(YI - B) mod p, leading first, as Python ints, for
+    a square integer matrix B (an array or nested lists).  The Berkowitz
+    loop of charpoly._berkowitz over the trailing blocks, 1x1 corner first:
+    the first column of Col(k) is [1, -a, -R S, -R M S, ..., -R M^(n-k-1) S]
     with a, R, S, M the corner, row border, column border and trailing block
     at k, and each step is one convolution truncated to that column's
     length."""
-    p, n = A.field.p, A.n
+    n = len(B)
     # every dot or convolution entry sums at most n + 1 products: no operand
     # is longer than n + 1
     dtype = np.int64 if _int64_safe(p, n + 1) else object
-    ints, _ = _clear_ints(A.field, [e for r in A.rows for e in r])
-    B = np.array(ints, dtype=dtype).reshape(n, n)
+    B = np.array(B, dtype=dtype) % p
     v = np.array([1, -B[n - 1, n - 1] % p], dtype=dtype)
     for k in range(n - 2, -1, -1):
         R, S, M = B[k, k + 1:], B[k + 1:, k], B[k + 1:, k + 1:]
@@ -300,3 +304,38 @@ def _berkowitz_mod_p(A):
         c = np.array(col, dtype=dtype) % p
         v = np.convolve(c, v)[:len(c)] % p
     return v.tolist()
+
+
+# ---------------------------------------------------------------------------
+# the rank kernel at one point of X over GF(p): C(x0) = diag(x0^i) * symm(A)
+
+# C(0) = diag(1, 0, ..., 0) * symm(A) is nilpotent, so x0 = 0 never certifies
+_X0 = 2
+
+
+def _point_matrix(p, ints, m, n):
+    """C(x0) mod p for the m x n matrix of residues ints (row-major), int64
+    when the scalar kernel's sums of N + 1 products fit and object otherwise."""
+    N = m + n
+    dtype = np.int64 if _int64_safe(p, N + 1) else object
+    A = np.array(ints, dtype=dtype).reshape(m, n)
+    C = np.zeros((N, N), dtype=dtype)
+    C[:m, m:] = A
+    C[m:, :m] = A.T
+    powers = np.array([pow(_X0, i, p) for i in range(N)], dtype=dtype)
+    return C * powers[:, None] % p
+
+
+def _point_horner(C, ch, b_ints, p):
+    """_horner's sum at X = x0 on scalars, as Python ints:
+    sum_{j=1}^{N-mul} t_(j+mul) C^(j-1) u mod p, where t_k is the Y^k
+    coefficient of ch = charpoly(C), mul its root-0 multiplicity and
+    u = diag(x0^0..x0^(N-1)) * [b; 0]."""
+    N = C.shape[0]
+    mul = ch.root0_mul()
+    u = np.zeros(N, dtype=C.dtype)
+    u[:len(b_ints)] = [pow(_X0, i, p) * x % p for i, x in enumerate(b_ints)]
+    acc = np.zeros(N, dtype=C.dtype)
+    for j in range(N - mul, 0, -1):
+        acc = (C.dot(acc) + ch.coeff_of(j + mul) * u) % p
+    return acc.tolist()

@@ -121,7 +121,7 @@ def charpoly(A):
     """Monic characteristic polynomial det(YI - A), leading term first.
     A square matrix over GF(p) takes the numeric scalar kernel."""
     if isinstance(A.field, PrimeField) and A.is_square():
-        return CharPoly(A.field, _berkowitz_mod_p(A), A.n)
+        return CharPoly(A.field, _berkowitz_mod_p(A.rows, A.field.p), A.n)
     for ch in trailing_charpolys(A):
         pass
     return ch

@@ -139,23 +139,28 @@ def num_den(root):
     return pairs[id(root)]
 
 
-def eval_alg(root, field, assignment):
-    """Plain evaluation of a division-free circuit."""
+def _eval_at(root, field, assignments):
+    """eval_alg at each of the assignments, from one walk of the DAG."""
     values = {}
     for g in _postorder(root):
         if g.kind == CONST:
-            values[id(g)] = field.from_int(g.payload)
+            values[id(g)] = [field.from_int(g.payload)] * len(assignments)
         elif g.kind == VAR:
-            if g.payload not in assignment:
+            if any(g.payload not in a for a in assignments):
                 raise InvalidInput(f"unassigned variable {g.payload!r}")
-            values[id(g)] = assignment[g.payload]
+            values[id(g)] = [a[g.payload] for a in assignments]
         elif g.kind == ADD:
-            values[id(g)] = field.add(values[id(g.args[0])], values[id(g.args[1])])
+            values[id(g)] = list(map(field.add, values[id(g.args[0])], values[id(g.args[1])]))
         elif g.kind == MUL:
-            values[id(g)] = field.mul(values[id(g.args[0])], values[id(g.args[1])])
+            values[id(g)] = list(map(field.mul, values[id(g.args[0])], values[id(g.args[1])]))
         else:
             raise InvalidInput("eval_alg applied to a circuit with division")
     return values[id(root)]
+
+
+def eval_alg(root, field, assignment):
+    """Plain evaluation of a division-free circuit."""
+    return _eval_at(root, field, [assignment])[0]
 
 
 def evaluate(root, field, assignment):

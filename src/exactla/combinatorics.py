@@ -251,7 +251,7 @@ def rcw_verify(family, L):
         circuits.append(reduce(cc.mul, factors, cc.const(1)))
     union = set().union(*members)
     points = [{f"x{j}": QQ.from_int(j in S) for j in union} for S in members]
-    U = [[cc.eval_alg(F, QQ, point) for point in points] for F in circuits]
+    U = [cc._eval_at(F, QQ, points) for F in circuits]
     for a in range(m):
         if U[a][a] == 0:
             raise PreconditionViolated("zero diagonal in the evaluation matrix",

@@ -42,6 +42,14 @@ nonzero operands, and the first-column matvecs multiply only the rows a
 vector occupies and the rows of B they reach.  solve's Horner
 helper applies p~(C) to chi * [b;0], whose row i is the monomial b_i X^i, so
 each scalar-times-vector step is a shift and scale.
+
+Over GF(p) with p > N(N-1)/2, solve and the coefficient solves of the
+greedy selections first evaluate at one point X = x0 (_point_solve): the
+scalar characteristic polynomial of C(x0) = diag(x0^i) * symm(A) bounds
+rank(A) from below at every point, so when it shows full column rank the
+solution is unique, and one scalar Horner finds it.  Its answers pass the
+same contract check; a point that does not certify, or an answer that fails
+the check, leaves the system to the X kernel.
 """
 
 from fractions import Fraction
@@ -52,9 +60,10 @@ from .field import PrimeField, Rationals
 from .matrix import Matrix, mat_vec
 from .poly import Polynomial, PolynomialRing
 from .ratfunc import RationalFunctionField
-from .charpoly import (_berkowitz, charpoly as _charpoly,
+from .charpoly import (CharPoly, _berkowitz, charpoly as _charpoly,
                        trailing_charpolys as _trailing_charpolys)
-from ._numeric import _clear_ints, _fast_first_column, _horner, _sym_parts
+from ._numeric import (_berkowitz_mod_p, _clear_ints, _fast_first_column, _horner,
+                       _point_horner, _point_matrix, _sym_parts)
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +284,50 @@ def solve(A, b, method="auto"):
     return _solve_columns(A, [b], method)[0]
 
 
+def _point_solve(A, bs):
+    """solve(A, b) for every b in bs over GF(p) at X = x0, or None when the
+    point does not certify that A has full column rank.
+
+    mul(x0) >= N - rank C(x0) >= N - 2 rank(A) at every point, so
+    N - mul(x0) = 2n proves rank(A) = n.  Then mul(x0) = mul, the least
+    nonzero coefficient tau = t_mul(x0) is p~(0) at x0, and evaluating
+    symm(A) v = p~(0) [b; 0] at x0 gives the solution, unique since the
+    columns are independent."""
+    field, m, n = A.field, A.m, A.n
+    p, N = field.p, m + n
+    C = _point_matrix(p, _clear_ints(field, [e for r in A.rows for e in r])[0], m, n)
+    ch = CharPoly(field, _berkowitz_mod_p(C, p), N)
+    mul = ch.root0_mul()
+    if N - mul != 2 * n:
+        return None
+    tau_inv = field.inv(ch.coeff_of(mul))
+    xs = []
+    for b in bs:
+        # S u = sum_{j>=1} t_{j+mul} C^(j-1) u, so v = -S u
+        Su = _point_horner(C, ch, _clear_ints(field, b)[0], p)
+        xs.append([field.mul(field.from_int(-v), tau_inv) for v in Su[m:]])
+    return xs
+
+
+def _solves(A, bs, xs):
+    """The contract check: A x = b for every pair."""
+    return all(A.field.eq(u, v) for b, x in zip(bs, xs) for u, v in zip(mat_vec(A, x), b))
+
+
 def _solve_columns(A, bs, method):
     """solve(A, b) for every b in bs: one characteristic polynomial of
-    polize(A), then one Horner and one contract check per b."""
+    polize(A), then one Horner and one contract check per b.  Over GF(p)
+    with enough points, one scalar characteristic polynomial at X = x0
+    (_point_solve) comes first; when it does not certify full column rank,
+    or its answers fail the contract check, the X kernel runs as before."""
     field = A.field
     m, n = A.m, A.n
     N = m + n
     if _use_fast(field, method):
+        if isinstance(field, PrimeField) and n <= m and field.p > max(2, N * (N - 1) // 2):
+            xs = _point_solve(A, bs)
+            if xs is not None and _solves(A, bs, xs):
+                return xs
         num, B, scale = _sym_parts(field, A, bs)
         ch = _fast_charpoly(num, B)
         s, t0 = ch.coeff_of(ch.root0_mul())  # p~(0) = tau_hat X^s + higher terms
@@ -316,9 +362,8 @@ def _solve_columns(A, bs, method):
             return [field.mul(field.neg(acc[m + i].coeff(s)), tau_inv) for i in range(n)]
     xs = [particular(b) for b in bs]
     # contractual check: the formula only solves solvable systems
-    for b, x in zip(bs, xs):
-        if not all(field.eq(u, v) for u, v in zip(mat_vec(A, x), b)):
-            raise Unsolvable("no solution exists for this right-hand side")
+    if not _solves(A, bs, xs):
+        raise Unsolvable("no solution exists for this right-hand side")
     return xs
 
 

@@ -107,6 +107,26 @@ def test_evaluate_matches_naive():
         done += 1
 
 
+def test_eval_at_many_assignments_walks_once(monkeypatch):
+    rng = SplitMix64(11)
+    walks = []
+    postorder = cc._postorder
+    monkeypatch.setattr(cc, "_postorder", lambda root: walks.append(root) or postorder(root))
+    for t in range(40):
+        f, _ = cc.num_den(_rand_circuit(rng, rng.randint(1, 4)))
+        field = QQ if t % 2 == 0 else GF7
+        points = [{v: field.from_int(rng.randint(-5, 5)) for v in "xyz"}
+                  for _ in range(rng.randint(1, 4))]
+        walks.clear()
+        got = cc._eval_at(f, field, points)
+        assert walks == [f]
+        assert got == [cc.eval_alg(f, field, a) for a in points]
+    with pytest.raises(InvalidInput, match="unassigned variable 'y'"):
+        cc._eval_at(cc.var("x") * cc.var("y"), QQ, [{"x": 1, "y": 2}, {"x": 1}])
+    with pytest.raises(InvalidInput, match="division"):
+        cc._eval_at(cc.var("x") / cc.var("x"), QQ, [{"x": 1}])
+
+
 def test_distributivity_semantics():
     rng = SplitMix64(15)
     x, y, z = cc.var("x"), cc.var("y"), cc.var("z")

@@ -118,6 +118,16 @@ def test_rcw_cost_follows_the_members():
                       "bound_holds": True}
 
 
+def test_rcw_walks_each_witness_once(monkeypatch):
+    walks = []
+    postorder = cc._postorder
+    monkeypatch.setattr(cc, "_postorder", lambda root: walks.append(root) or postorder(root))
+    fam = SetFamily(9, [{1, 2, 3 * a + 3, 3 * a + 4, 3 * a + 5} for a in range(2)]
+                    + [{1, 2}])
+    assert rcw_verify(fam, [2])["bound_holds"]
+    assert len(walks) == 3 and len(set(map(id, walks))) == 3
+
+
 def test_rcw_rejects_bad_intersections():
     fam = SetFamily(4, [{1, 2}, {2, 3}, {3, 4}])
     with pytest.raises(NotLIntersecting) as err:
