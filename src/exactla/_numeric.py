@@ -16,7 +16,8 @@ Two kernels use them:
     polize(A) = diag(X^0..X^(N-1)) * B with B numeric, over the ring _Num of
     trimmed X-polynomials.  rank.py runs it through charpoly.py's one
     Berkowitz loop, which supplies the Toeplitz combine, and through
-    _horner, which applies p~(C) to a vector for solve.
+    _horner, which applies p~(C) to a vector for solve and hands back the
+    one X-coefficient of each entry that solve reads, as Python ints.
   * The scalar kernel, _berkowitz_mod_p, computes the characteristic
     polynomial of a square integer matrix mod p.  Over scalars the Toeplitz
     combine is one truncated np.convolve per trailing block, and each first
@@ -24,10 +25,11 @@ Two kernels use them:
     the field's Python-level operations.  charpoly.charpoly dispatches every
     square GF(p) matrix here, and det, adjugate, inverse and quasi_inverse follow.
 
-The rank kernel also runs at one point X = x0 over GF(p): _point_matrix
-builds C(x0) = diag(x0^0..x0^(N-1)) * B, the scalar kernel takes its
-characteristic polynomial, and _point_horner is _horner's sum on scalars.
-rank._point_solve reads full column rank and the solutions off them.
+Both lay out B = symm(A) with _symm.  The rank kernel also runs at one point
+X = x0 over GF(p), p > max(x0, N(N-1)/2): _point_matrix builds
+C(x0) = diag(x0^0..x0^(N-1)) * B, the scalar kernel takes its characteristic
+polynomial, and _point_horner is _horner's sum on scalars.  rank._point_solve
+reads full column rank and the solutions off them.
 
 np.convolve is always called through the numpy module attribute, so a
 profiler that wraps numpy.convolve sees every convolution.
@@ -225,12 +227,12 @@ def _fast_first_column(num, B, k0):
     return col
 
 
-def _horner(num, B, ch, b_ints):
-    """sum_{j=1}^{N-mul} t_(j+mul) C^(j-1) w0 by Horner, where
-    C = diag(X^0..X^(N-1)) * B, t_k is the Y^k coefficient of ch = charpoly(C),
-    mul its root-0 multiplicity and w0 = chi_N * [b; 0].
-    Row i of w0 is the monomial b_i X^i, so t * w0 is t shifted and scaled
-    row by row.  Returns a vector in the kernel's (rows, lo, W) form."""
+def _horner(num, B, ch, b_ints, s):
+    """The X^s coefficient of every row of sum_{j=1}^{N-mul} t_(j+mul) C^(j-1) w0,
+    as N Python ints, by Horner, where C = diag(X^0..X^(N-1)) * B, t_k is the
+    Y^k coefficient of ch = charpoly(C), mul its root-0 multiplicity and
+    w0 = chi_N * [b; 0].  Row i of w0 is the monomial b_i X^i, so t * w0 is
+    t shifted and scaled row by row."""
     N = B.shape[0]
     mul = ch.root0_mul()
     brows = np.array([i for i, x in enumerate(b_ints) if x], dtype=np.intp)
@@ -245,7 +247,12 @@ def _horner(num, B, ch, b_ints):
             tvals = num.lift(np.asarray(t[1], dtype=num.dtype))
             term = _stagger(num, brows, t[0], num.red(np.multiply.outer(num.lift(bvals), tvals)))
             acc = term if acc is None else _vadd(num, acc, term)
-    return acc
+    out = [0] * N
+    if acc is not None and acc[1] <= s < acc[1] + acc[2].shape[1]:
+        rows, lo, W = acc
+        for k, i in enumerate(rows):
+            out[i] = int(W[k, s - lo])
+    return out
 
 
 def _clear_ints(field, elems):
@@ -261,19 +268,23 @@ def _sym_parts(field, A, rhs=()):
     Z/2^64 when _hadamard_bound proves every integer read back for A and the
     right-hand sides rhs (solve's) below 2^63, and Z otherwise."""
     m, n = A.m, A.n
-    N = m + n
     ints, scale = _clear_ints(field, [e for r in A.rows for e in r])
     if isinstance(field, PrimeField):
-        num = _Num(field.p, N)
+        num = _Num(field.p, m + n)
     else:
         bound = _hadamard_bound(ints, m, n, [_clear_ints(field, b)[0] for b in rhs])
-        num = _Num(None, N, wrap=bound < 2 ** 63)
-    B = num.zeros((N, N))
-    for i in range(m):
-        for j in range(n):
-            B[i, m + j] = ints[i * n + j]
-            B[m + j, i] = ints[i * n + j]
-    return num, num.red(B), scale
+        num = _Num(None, m + n, wrap=bound < 2 ** 63)
+    return num, num.red(_symm(ints, m, n, num.dtype)), scale
+
+
+def _symm(ints, m, n, dtype):
+    """symm(A) = [[0, A], [A^T, 0]] as an array of dtype, for the m x n
+    matrix of integers ints (row-major)."""
+    A = np.array(ints, dtype=dtype).reshape(m, n)
+    B = np.zeros((m + n, m + n), dtype=dtype)
+    B[:m, m:] = A
+    B[m:, :m] = A.T
+    return B
 
 
 # ---------------------------------------------------------------------------
@@ -318,24 +329,19 @@ def _point_matrix(p, ints, m, n):
     when the scalar kernel's sums of N + 1 products fit and object otherwise."""
     N = m + n
     dtype = np.int64 if _int64_safe(p, N + 1) else object
-    A = np.array(ints, dtype=dtype).reshape(m, n)
-    C = np.zeros((N, N), dtype=dtype)
-    C[:m, m:] = A
-    C[m:, :m] = A.T
     powers = np.array([pow(_X0, i, p) for i in range(N)], dtype=dtype)
-    return C * powers[:, None] % p
+    return _symm(ints, m, n, dtype) * powers[:, None] % p
 
 
-def _point_horner(C, ch, b_ints, p):
-    """_horner's sum at X = x0 on scalars, as Python ints:
-    sum_{j=1}^{N-mul} t_(j+mul) C^(j-1) u mod p, where t_k is the Y^k
-    coefficient of ch = charpoly(C), mul its root-0 multiplicity and
+def _point_horner(C, ts, b_ints, p):
+    """_horner's sum at X = x0 on scalars, as Python ints: sum_{j>=1}
+    ts[j-1] C^(j-1) u mod p, where ts = [t_(mul+1), ..., t_N] are the Y^k
+    coefficients of charpoly(C) past the least nonzero one, t_mul, and
     u = diag(x0^0..x0^(N-1)) * [b; 0]."""
     N = C.shape[0]
-    mul = ch.root0_mul()
     u = np.zeros(N, dtype=C.dtype)
     u[:len(b_ints)] = [pow(_X0, i, p) * x % p for i, x in enumerate(b_ints)]
     acc = np.zeros(N, dtype=C.dtype)
-    for j in range(N - mul, 0, -1):
-        acc = (C.dot(acc) + ch.coeff_of(j + mul) * u) % p
+    for t in reversed(ts):
+        acc = (C.dot(acc) + t * u) % p
     return acc.tolist()

@@ -20,7 +20,7 @@ from .charpoly import det
 from .errors import (CapExceeded, CertificateFailed, InvalidInput,
                      NotLIntersecting, PreconditionViolated, ScaleExceeded,
                      SizeExceeded, SystemUnsolvable, Unsolvable)
-from .field import GF2, GF3, QQ, PrimeField
+from .field import GF2, QQ, PrimeField
 from .matrix import Matrix
 from .rank import mulmuley_rank, solve
 
@@ -424,9 +424,10 @@ MAX_VERTICES = 256  # past this, clique_number refuses the exact search
 def _elim_rank(p, rows):
     """Row rank of a matrix of residues mod the prime p, brought to echelon
     form with plain integer arithmetic: each pivot clears only the rows below
-    it.  Used only where the size puts the characteristic-polynomial route
-    out of desk range; kept apart from oracles.gauss_rank, the independent
-    reference that checks the Ramsey ranks (ROADMAP item 9)."""
+    it.  The one path of the Ramsey ranks over GF2 and GF3, whose matrices
+    reach 256 x 256; it beats the characteristic-polynomial route at small
+    sizes too.  Kept apart from oracles.gauss_rank, the independent reference
+    that checks the Ramsey ranks (ROADMAP item 9)."""
     rows = [list(r) for r in rows]
     r = 0
     for c in range(len(rows[0]) if rows else 0):
@@ -441,15 +442,6 @@ def _elim_rank(p, rows):
                 rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
         r += 1
     return r
-
-
-_MULMULEY_RANK_CAP = 12  # above this, fall back to elimination for the ranks
-
-
-def _matrix_rank(field, rows):
-    if len(rows) <= _MULMULEY_RANK_CAP and len(rows[0]) <= _MULMULEY_RANK_CAP:
-        return mulmuley_rank(Matrix(field, rows)).rank
-    return _elim_rank(field.p, rows)
 
 
 def _least_exponent(p, k):
@@ -499,7 +491,7 @@ def grolmusz_graph(k, cap=None):
                    for i in range(nverts)])
     return {"k": k, "n": nverts, "vertices": verts, "graph": graph,
             "A2": A2, "A3": A3,
-            "rank2": _matrix_rank(GF2, A2), "rank3": _matrix_rank(GF3, A3),
+            "rank2": _elim_rank(2, A2), "rank3": _elim_rank(3, A3),
             "edge_rule": "odd"}
 
 

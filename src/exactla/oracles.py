@@ -5,6 +5,8 @@ elimination, recursive cofactor expansion, direct counting.  None of it
 shares code with the division-free implementations it checks.
 """
 
+from functools import cache
+
 from .errors import NonSquare
 from .matrix import Matrix
 
@@ -75,24 +77,25 @@ def in_span(vectors, target, field):
 
 
 def cofactor_det(A):
-    """Recursive first-row cofactor expansion."""
+    """Recursive first-row cofactor expansion, each minor once: the minor on
+    the last k rows is keyed by the k columns it keeps (2^n minors, not n!)."""
     if not A.is_square():
         raise NonSquare("determinant of a nonsquare matrix")
     F = A.field
     n = A.n
 
-    def rec(rows):
-        k = len(rows)
-        if k == 1:
-            return rows[0][0]
+    @cache
+    def rec(cols):
+        top = A.rows[n - len(cols)]
+        if len(cols) == 1:
+            return top[cols[0]]
         acc = F.zero()
-        for j in range(k):
-            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-            term = F.mul(rows[0][j], rec(minor))
+        for j, c in enumerate(cols):
+            term = F.mul(top[c], rec(cols[:j] + cols[j + 1:]))
             acc = F.add(acc, term if j % 2 == 0 else F.neg(term))
         return acc
 
-    return rec([list(r) for r in A.rows])
+    return rec(tuple(range(n)))
 
 
 def direct_count(field, v, k):

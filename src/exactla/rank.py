@@ -41,10 +41,11 @@ X-degrees start out empty: the Toeplitz combine convolves only pairs of
 nonzero operands, and the first-column matvecs multiply only the rows a
 vector occupies and the rows of B they reach.  solve's Horner
 helper applies p~(C) to chi * [b;0], whose row i is the monomial b_i X^i, so
-each scalar-times-vector step is a shift and scale.
+each scalar-times-vector step is a shift and scale; it returns the X^s
+coefficient of every row as ints, s the least X-degree of p~(0).
 
-Over GF(p) with p > N(N-1)/2, solve and the coefficient solves of the
-greedy selections first evaluate at one point X = x0 (_point_solve): the
+Over GF(p) with p > max(x0, N(N-1)/2), solve and the coefficient solves of
+the greedy selections first evaluate at one point X = x0 (_point_solve): the
 scalar characteristic polynomial of C(x0) = diag(x0^i) * symm(A) bounds
 rank(A) from below at every point, so when it shows full column rank the
 solution is unique, and one scalar Horner finds it.  Its answers pass the
@@ -60,8 +61,9 @@ from .field import PrimeField, Rationals
 from .matrix import Matrix, mat_vec
 from .poly import Polynomial, PolynomialRing
 from .ratfunc import RationalFunctionField
-from .charpoly import (CharPoly, _berkowitz, charpoly as _charpoly,
+from .charpoly import (_berkowitz, charpoly as _charpoly,
                        trailing_charpolys as _trailing_charpolys)
+from . import _numeric
 from ._numeric import (_berkowitz_mod_p, _clear_ints, _fast_first_column, _horner,
                        _point_horner, _point_matrix, _sym_parts)
 
@@ -296,15 +298,15 @@ def _point_solve(A, bs):
     field, m, n = A.field, A.m, A.n
     p, N = field.p, m + n
     C = _point_matrix(p, _clear_ints(field, [e for r in A.rows for e in r])[0], m, n)
-    ch = CharPoly(field, _berkowitz_mod_p(C, p), N)
-    mul = ch.root0_mul()
+    t = _berkowitz_mod_p(C, p)[::-1]  # t[k]: the Y^k coefficient; t[N] = 1
+    mul = next(k for k, c in enumerate(t) if c)
     if N - mul != 2 * n:
         return None
-    tau_inv = field.inv(ch.coeff_of(mul))
+    tau_inv = field.inv(t[mul])
     xs = []
     for b in bs:
         # S u = sum_{j>=1} t_{j+mul} C^(j-1) u, so v = -S u
-        Su = _point_horner(C, ch, _clear_ints(field, b)[0], p)
+        Su = _point_horner(C, t[mul + 1:], _clear_ints(field, b)[0], p)
         xs.append([field.mul(field.from_int(-v), tau_inv) for v in Su[m:]])
     return xs
 
@@ -324,7 +326,8 @@ def _solve_columns(A, bs, method):
     m, n = A.m, A.n
     N = m + n
     if _use_fast(field, method):
-        if isinstance(field, PrimeField) and n <= m and field.p > max(2, N * (N - 1) // 2):
+        if (isinstance(field, PrimeField) and n <= m
+                and field.p > max(_numeric._X0, N * (N - 1) // 2)):
             xs = _point_solve(A, bs)
             if xs is not None and _solves(A, bs, xs):
                 return xs
@@ -336,12 +339,7 @@ def _solve_columns(A, bs, method):
         def particular(b):
             b_ints, b_scale = _clear_ints(field, list(b))
             # S = sum_{j>=1} t_{j+mul} C^(j-1) w0, so v = -S w0
-            acc = _horner(num, B, ch, b_ints)
-            vs = [0] * N
-            if acc is not None and acc[1] <= s < acc[1] + acc[2].shape[1]:
-                rows, lo, W = acc
-                for k, i in enumerate(rows):
-                    vs[i] = int(W[k, s - lo])
+            vs = _horner(num, B, ch, b_ints, s)
             # v_hat = scale^(N-mul-1) * b_scale * v;  tau_hat = scale^(N-mul) * tau
             tau_inv = field.inv(field.from_int(tau_hat * b_scale))
             return [field.mul(field.from_int(-scale * vs[m + i]), tau_inv) for i in range(n)]

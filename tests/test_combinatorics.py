@@ -11,8 +11,8 @@ from hypothesis import given, strategies as st
 
 import exactla
 from exactla import circuit as cc
-from exactla.combinatorics import (MAX_VERTICES, _MULMULEY_RANK_CAP, Graph, SetFamily,
-                                   _ball, _count_basis, _elim_rank, _matrix_rank,
+from exactla.combinatorics import (MAX_VERTICES, Graph, SetFamily,
+                                   _ball, _count_basis, _elim_rank,
                                    binom, binom_table,
                                    clique_number, fisher_check,
                                    graham_pollak_check, grolmusz_graph,
@@ -282,17 +282,6 @@ def test_elim_rank_matches_the_oracle(field):
         for n in sizes:
             rows = _residue_matrix(rng, field.p, m, n)
             assert _elim_rank(field.p, rows) == gauss_rank(Matrix(field, rows)), (m, n)
-
-
-def test_matrix_rank_agrees_on_both_sides_of_the_cap():
-    # up to the cap the ranks come from mulmuley_rank, past it from _elim_rank
-    rng = random.Random(12)
-    cap = _MULMULEY_RANK_CAP
-    for field in (GF2, GF3):
-        for m, n in [(1, 1), (1, cap), (cap, 1), (5, 9), (cap, cap),
-                     (cap, cap + 1), (cap + 1, cap), (cap + 1, cap + 1)]:
-            rows = _residue_matrix(rng, field.p, m, n)
-            assert _matrix_rank(field, rows) == gauss_rank(Matrix(field, rows)), (m, n)
 
 
 def test_grolmusz_k3_capped():

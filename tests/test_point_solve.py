@@ -168,3 +168,46 @@ def test_solve_30x30_over_a_large_prime_is_quick():
     x = solve(A, b)
     assert time.perf_counter() - start < 0.1
     assert mat_vec(A, x) == b
+
+
+# The point gate is p > max(x0, N(N-1)/2): `below` is the largest prime it
+# declines and `above` the next one.  Each matrix has full column rank mod both.
+GATE_CASES = [
+    ([[1]], 2, 3),  # N = 2: max(x0, 1) = 2
+    ([[1], [2]], 3, 5),  # N = 3: N(N-1)/2 = 3
+    ([[1, 2, 0], [0, 1, 3], [1, 0, 1]], 13, 17),  # N = 6: 15
+]
+
+
+@pytest.mark.parametrize("rows, below, above", GATE_CASES)
+def test_point_gate_boundary(monkeypatch, x_kernel_runs, rows, below, above):
+    N = len(rows) + len(rows[0])
+    for p, runs in ((below, [N]), (above, [])):
+        field = PrimeField(p)
+        A = Matrix.from_ints(field, rows)
+        b = mat_vec(A, [field.from_int(i + 1) for i in range(A.n)])
+        answer = rank_mod._solve_columns(A, [b], "auto")
+        assert x_kernel_runs == runs, p  # below: declined; above: the point answered
+        with monkeypatch.context() as patch:
+            patch.setattr(rank_mod, "_point_solve", lambda A, bs: None)
+            assert rank_mod._solve_columns(A, [b], "auto") == answer
+        assert answer == [oracles.gauss_solve(A, b)]
+        x_kernel_runs.clear()
+
+
+@pytest.mark.parametrize("rows, below, above", GATE_CASES)
+def test_point_gate_reads_x0(monkeypatch, x_kernel_runs, rows, below, above):
+    # x0 = p is 0 mod p: the gate declines before any scalar charpoly
+    field = PrimeField(above)
+    A = Matrix.from_ints(field, rows)
+    b = mat_vec(A, [field.one()] * A.n)
+    want = solve(A, b)
+    x_kernel_runs.clear()
+    scalar = []
+    monkeypatch.setattr(numeric, "_X0", above)
+    berkowitz = rank_mod._berkowitz_mod_p
+    monkeypatch.setattr(rank_mod, "_berkowitz_mod_p",
+                        lambda C, p: scalar.append(p) or berkowitz(C, p))
+    assert solve(A, b) == want
+    assert scalar == []
+    assert x_kernel_runs == [A.m + A.n]
