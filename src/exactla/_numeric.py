@@ -17,7 +17,8 @@ Two kernels use them:
     trimmed X-polynomials.  rank.py runs it through charpoly.py's one
     Berkowitz loop, which supplies the Toeplitz combine, and through
     _horner, which applies p~(C) to a vector for solve and hands back the
-    one X-coefficient of each entry that solve reads, as Python ints.
+    one X-coefficient of each entry that solve reads, as Python ints; it
+    reads any other element through one method, _Num.to_ints.
   * The scalar kernel, _berkowitz_mod_p, computes the characteristic
     polynomial of a square integer matrix mod p.  Over scalars the Toeplitz
     combine is one truncated np.convolve per trailing block, and each first
@@ -29,7 +30,7 @@ Both lay out B = symm(A) with _symm.  The rank kernel also runs at one point
 X = x0 over GF(p), p > max(x0, N(N-1)/2): _point_matrix builds
 C(x0) = diag(x0^0..x0^(N-1)) * B, the scalar kernel takes its characteristic
 polynomial, and _point_horner is _horner's sum on scalars.  rank._point_solve
-reads full column rank and the solutions off them.
+keeps that gate and reads full column rank and the solutions off them.
 
 np.convolve is always called through the numpy module attribute, so a
 profiler that wraps numpy.convolve sees every convolution.
@@ -158,12 +159,16 @@ class _Num(Ring):
             acc[o - lo:o - lo + len(a)] += self.lift(a)
         return _trim(lo, self.red(acc))
 
+    def to_ints(self, x):
+        """x as its constant-first list of Python ints, [] for zero."""
+        if x is None:
+            return []
+        off, a = x
+        return [0] * off + [int(c) for c in a]
+
     def format(self, x):
         """Constant-first coefficients, as PolynomialRing.format writes them."""
-        if x is None:
-            return "0"
-        off, a = x
-        return " ".join(["0"] * off + [str(c) for c in a])
+        return " ".join(map(str, self.to_ints(x))) or "0"
 
 
 def _trim(off, a):
@@ -227,14 +232,15 @@ def _fast_first_column(num, B, k0):
     return col
 
 
-def _horner(num, B, ch, b_ints, s):
+def _horner(num, B, ch, b_ints):
     """The X^s coefficient of every row of sum_{j=1}^{N-mul} t_(j+mul) C^(j-1) w0,
     as N Python ints, by Horner, where C = diag(X^0..X^(N-1)) * B, t_k is the
-    Y^k coefficient of ch = charpoly(C), mul its root-0 multiplicity and
-    w0 = chi_N * [b; 0].  Row i of w0 is the monomial b_i X^i, so t * w0 is
-    t shifted and scaled row by row."""
+    Y^k coefficient of ch = charpoly(C), mul its root-0 multiplicity, s the
+    least X-degree of t_mul = p~(0) and w0 = chi_N * [b; 0].  Row i of w0 is
+    the monomial b_i X^i, so t * w0 is t shifted and scaled row by row."""
     N = B.shape[0]
     mul = ch.root0_mul()
+    s = ch.coeff_of(mul)[0]
     brows = np.array([i for i, x in enumerate(b_ints) if x], dtype=np.intp)
     bvals = np.array([b_ints[i] for i in brows], dtype=num.dtype)
     acc = None

@@ -250,7 +250,8 @@ def rcw_verify(family, L):
         factors = (inner + cc.const(-lk) for lk in L if lk < len(S))
         circuits.append(reduce(cc.mul, factors, cc.const(1)))
     union = set().union(*members)
-    points = [{f"x{j}": QQ.from_int(j in S) for j in union} for S in members]
+    bits = QQ.zero(), QQ.one()  # every point shares these two elements
+    points = [{f"x{j}": bits[j in S] for j in union} for S in members]
     U = [cc._eval_at(F, QQ, points) for F in circuits]
     for a in range(m):
         if U[a][a] == 0:

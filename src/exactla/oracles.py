@@ -23,12 +23,13 @@ def gauss_rref(A):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
+        # rows r.. are zero left of column c, so updates start at c
         inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        rows[r][c:] = [F.mul(inv, x) for x in rows[r][c:]]
         for i in range(m):
             if i != r and not F.is_zero(rows[i][c]):
                 f = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+                rows[i][c:] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i][c:], rows[r][c:])]
         pivots.append(c)
         r += 1
         if r == m:

@@ -35,22 +35,25 @@ The fast kernel stores each X-polynomial trimmed, as (offset, array) with
 nonzero end coefficients, or None for zero, and each vector of them as its
 possibly nonzero rows over one X-span.  The X-polynomials are a ring
 (_numeric._Num), which _fast_trailing_charpolys runs through charpoly.py's
-one Berkowitz loop, so both paths yield CharPoly values.  B is bipartite,
-so half of every Berkowitz vector and first column is zero, and low
-X-degrees start out empty: the Toeplitz combine convolves only pairs of
-nonzero operands, and the first-column matvecs multiply only the rows a
-vector occupies and the rows of B they reach.  solve's Horner
-helper applies p~(C) to chi * [b;0], whose row i is the monomial b_i X^i, so
-each scalar-times-vector step is a shift and scale; it returns the X^s
-coefficient of every row as ints, s the least X-degree of p~(0).
+one Berkowitz loop, so both paths yield CharPoly values; this module reads
+an element only as _Num.to_ints, its constant-first list of ints.
+mulmuley_rank keeps the CharPoly, from which RankReport builds
+charpoly_of_polize over F(X) only when read.  B is bipartite, so half of
+every Berkowitz vector and first column is zero, and low X-degrees start out
+empty: the Toeplitz combine convolves only pairs of nonzero operands, and
+the first-column matvecs multiply only the rows a vector occupies and the
+rows of B they reach.  solve's Horner helper applies p~(C) to chi * [b;0],
+whose row i is the monomial b_i X^i, so each scalar-times-vector step is a
+shift and scale; it returns the X^s coefficient of every row as ints, s the
+least X-degree of p~(0).
 
-Over GF(p) with p > max(x0, N(N-1)/2), solve and the coefficient solves of
-the greedy selections first evaluate at one point X = x0 (_point_solve): the
-scalar characteristic polynomial of C(x0) = diag(x0^i) * symm(A) bounds
-rank(A) from below at every point, so when it shows full column rank the
-solution is unique, and one scalar Horner finds it.  Its answers pass the
-same contract check; a point that does not certify, or an answer that fails
-the check, leaves the system to the X kernel.
+Where _point_solve's own gate holds (GF(p), n <= m, p > max(x0, N(N-1)/2)),
+solve and the coefficient solves of the greedy selections first evaluate
+at one point X = x0: the scalar characteristic polynomial of
+C(x0) = diag(x0^i) * symm(A) bounds rank(A) from below at every point, so
+when it shows full column rank the solution is unique, and one scalar Horner
+finds it.  Its answers pass the same contract check; a point that does not
+certify, or an answer that fails the check, leaves the system to the X kernel.
 """
 
 from fractions import Fraction
@@ -129,14 +132,27 @@ def polize(A, ring=None):
 # result records
 
 class RankReport:
-    __slots__ = ("m", "n", "charpoly_of_polize", "mul", "rank")
+    """rank(A) = (m + n - mul) / 2, mul the root-0 multiplicity of ch, the
+    CharPoly the kernel computed: that of polize(A), or on the fast path of
+    scale * polize(A).  charpoly_of_polize is built from ch when read."""
 
-    def __init__(self, m, n, charpoly_of_polize, mul, rank):
-        self.m = m
-        self.n = n
-        self.charpoly_of_polize = charpoly_of_polize
-        self.mul = mul
-        self.rank = rank
+    __slots__ = ("m", "n", "mul", "rank", "_field", "_ch", "_scale")
+
+    def __init__(self, A, ch, scale):
+        self.m, self.n, self._field, self._ch, self._scale = A.m, A.n, A.field, ch, scale
+        self.mul = ch.root0_mul()
+        self.rank = _rank_of(A.m + A.n, self.mul)
+
+    @property
+    def charpoly_of_polize(self):
+        """The exact charpoly of polize(A) over F(X): t_i(cC) = c^(N-i) t_i(C)."""
+        field, ch, scale = self._field, self._ch, self._scale
+        fx = RationalFunctionField(field)
+        if not isinstance(ch.field, _numeric._Num):
+            return Polynomial(fx, [fx.from_poly(c) for c in ch.constant_first()])
+        return Polynomial(fx, [fx.from_poly(Polynomial(field, [
+            field.from_int(c) if scale == 1 else Fraction(c, scale ** (ch.n - i))
+            for c in ch.field.to_ints(ch.coeff_of(i))])) for i in range(ch.n + 1)])
 
     def __repr__(self):
         return f"RankReport(m={self.m}, n={self.n}, mul={self.mul}, rank={self.rank})"
@@ -198,17 +214,10 @@ def _use_fast(field, method):
 # rank
 
 def mulmuley_rank(A, method="auto"):
-    field = A.field
-    if _use_fast(field, method):
-        num, B, scale = _sym_parts(field, A)
-        ch = _fast_charpoly(num, B)
-        report_poly = _report_polynomial(field, ch, scale)
-    else:
-        _, ch = _generic_charpoly(A)
-        fx = RationalFunctionField(field)
-        report_poly = Polynomial(fx, [fx.from_poly(c) for c in ch.constant_first()])
-    mul = ch.root0_mul()
-    return RankReport(A.m, A.n, report_poly, mul, _rank_of(A.m + A.n, mul))
+    if _use_fast(A.field, method):
+        num, B, scale = _sym_parts(A.field, A)
+        return RankReport(A, _fast_charpoly(num, B), scale)
+    return RankReport(A, _generic_charpoly(A)[1], 1)
 
 
 def _rank_of(order, mul):
@@ -222,22 +231,6 @@ def _generic_charpoly(A):
     """(polize(A), its CharPoly), both over F[X]."""
     C = polize(A, PolynomialRing(A.field))
     return C, _charpoly(C)
-
-
-def _report_polynomial(field, ch, scale):
-    """Exact charpoly of polize(A) over F(X) from the (possibly scaled)
-    integer coefficients: t_i(cC) = c^(N-i) t_i(C)."""
-    fx = RationalFunctionField(field)
-    N = ch.n
-    coeffs = []  # constant-first in Y
-    for i in range(N + 1):
-        off, arr = ch.coeff_of(i) or (0, ())
-        if scale == 1:
-            vals = [field.from_int(int(c)) for c in arr]
-        else:
-            vals = [Fraction(int(c), scale ** (N - i)) for c in arr]
-        coeffs.append(fx.from_poly(Polynomial(field, [field.zero()] * off + vals)))
-    return Polynomial(fx, coeffs)
 
 
 def rank(A, method="auto"):
@@ -288,7 +281,8 @@ def solve(A, b, method="auto"):
 
 def _point_solve(A, bs):
     """solve(A, b) for every b in bs over GF(p) at X = x0, or None when the
-    point does not certify that A has full column rank.
+    point does not apply (another field, n > m, or p <= max(x0, N(N-1)/2))
+    or does not certify that A has full column rank.
 
     mul(x0) >= N - rank C(x0) >= N - 2 rank(A) at every point, so
     N - mul(x0) = 2n proves rank(A) = n.  Then mul(x0) = mul, the least
@@ -296,9 +290,12 @@ def _point_solve(A, bs):
     symm(A) v = p~(0) [b; 0] at x0 gives the solution, unique since the
     columns are independent."""
     field, m, n = A.field, A.m, A.n
-    p, N = field.p, m + n
-    C = _point_matrix(p, _clear_ints(field, [e for r in A.rows for e in r])[0], m, n)
-    t = _berkowitz_mod_p(C, p)[::-1]  # t[k]: the Y^k coefficient; t[N] = 1
+    N = m + n
+    if not (isinstance(field, PrimeField) and n <= m
+            and field.p > max(_numeric._X0, N * (N - 1) // 2)):
+        return None
+    C = _point_matrix(field.p, _clear_ints(field, [e for r in A.rows for e in r])[0], m, n)
+    t = _berkowitz_mod_p(C, field.p)[::-1]  # t[k]: the Y^k coefficient; t[N] = 1
     mul = next(k for k, c in enumerate(t) if c)
     if N - mul != 2 * n:
         return None
@@ -306,7 +303,7 @@ def _point_solve(A, bs):
     xs = []
     for b in bs:
         # S u = sum_{j>=1} t_{j+mul} C^(j-1) u, so v = -S u
-        Su = _point_horner(C, t[mul + 1:], _clear_ints(field, b)[0], p)
+        Su = _point_horner(C, t[mul + 1:], _clear_ints(field, b)[0], field.p)
         xs.append([field.mul(field.from_int(-v), tau_inv) for v in Su[m:]])
     return xs
 
@@ -324,32 +321,27 @@ def _solve_columns(A, bs, method):
     or its answers fail the contract check, the X kernel runs as before."""
     field = A.field
     m, n = A.m, A.n
-    N = m + n
     if _use_fast(field, method):
-        if (isinstance(field, PrimeField) and n <= m
-                and field.p > max(_numeric._X0, N * (N - 1) // 2)):
-            xs = _point_solve(A, bs)
-            if xs is not None and _solves(A, bs, xs):
-                return xs
+        xs = _point_solve(A, bs)
+        if xs is not None and _solves(A, bs, xs):
+            return xs
         num, B, scale = _sym_parts(field, A, bs)
         ch = _fast_charpoly(num, B)
-        s, t0 = ch.coeff_of(ch.root0_mul())  # p~(0) = tau_hat X^s + higher terms
-        tau_hat = int(t0[0])
+        # p~(0) = tau_hat X^s + higher terms
+        tau_hat = next(c for c in num.to_ints(ch.coeff_of(ch.root0_mul())) if c)
 
         def particular(b):
             b_ints, b_scale = _clear_ints(field, list(b))
             # S = sum_{j>=1} t_{j+mul} C^(j-1) w0, so v = -S w0
-            vs = _horner(num, B, ch, b_ints, s)
+            vs = _horner(num, B, ch, b_ints)
             # v_hat = scale^(N-mul-1) * b_scale * v;  tau_hat = scale^(N-mul) * tau
             tau_inv = field.inv(field.from_int(tau_hat * b_scale))
             return [field.mul(field.from_int(-scale * vs[m + i]), tau_inv) for i in range(n)]
     else:
         C, ch = _generic_charpoly(A)
-        t0 = ch.coeff_of(ch.root0_mul())  # p~(0), a nonzero polynomial
-        s = 0
-        while field.is_zero(t0.coeff(s)):
-            s += 1
-        tau_inv = field.inv(t0.coeff(s))
+        t0 = ch.coeff_of(ch.root0_mul()).coeffs  # p~(0), a nonzero polynomial
+        s = next(i for i, c in enumerate(t0) if not field.is_zero(c))
+        tau_inv = field.inv(t0[s])
 
         def particular(b):
             # chi_N * [b; 0]: row i is the monomial b_i X^i

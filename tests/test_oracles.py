@@ -2,13 +2,13 @@
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
-from exactla.field import QQ, PrimeField
+from exactla.field import GF2, GF3, QQ, PrimeField
 from exactla.matrix import Matrix
-from exactla.oracles import cofactor_det
+from exactla.oracles import cofactor_det, gauss_kernel, gauss_rank, gauss_solve
 from exactla.poly import Polynomial
 from exactla.ratfunc import RationalFunctionField
 
@@ -48,3 +48,49 @@ def test_cofactor_det_is_the_leibniz_sum(field):
                 rows[-1] = list(rows[0])  # a repeated row: det 0
             A = Matrix(field, rows)
             assert field.eq(cofactor_det(A), _leibniz(A)), (n, trial)
+
+
+def _minor_rank(A):
+    """The order of the largest nonzero minor of A, by cofactor_det."""
+    return max((k for k in range(1, min(A.m, A.n) + 1)
+                for rows in combinations(A.rows, k) for cols in combinations(range(A.n), k)
+                if not A.field.is_zero(cofactor_det(Matrix(A.field, [[r[c] for c in cols]
+                                                                     for r in rows])))),
+               default=0)
+
+
+def _gauss_cases():
+    """Every 2x3 and 3x2 matrix over GF2, and 200 of each shape over GF3."""
+    for m, n in ((2, 3), (3, 2)):
+        for bits in product((0, 1), repeat=m * n):
+            yield Matrix.from_ints(GF2, [bits[i * n:(i + 1) * n] for i in range(m)])
+    rng = random.Random(7)
+    for m, n in ((2, 3), (3, 2)) * 200:
+        yield Matrix.from_ints(GF3, [[rng.randrange(3) for _ in range(n)] for _ in range(m)])
+
+
+def test_gauss_rank_and_kernel_against_minors():
+    for A in _gauss_cases():
+        F, r = A.field, gauss_rank(A)
+        assert r == _minor_rank(A), A
+        basis = gauss_kernel(A)
+        assert len(basis) == A.n - r
+        for v in basis:
+            assert all(F.is_zero(F.sum(F.mul(a, x) for a, x in zip(row, v))) for row in A.rows)
+        if basis:  # independent: some minor of full order is nonzero
+            assert _minor_rank(Matrix(F, basis)) == len(basis), A
+
+
+def test_gauss_solve_against_exhaustive_search():
+    for A in _gauss_cases():
+        if A.field is not GF2:
+            continue
+        images = {}
+        for x in product((0, 1), repeat=A.n):
+            b = tuple(sum(a * v for a, v in zip(row, x)) % 2 for row in A.rows)
+            images.setdefault(b, x)
+        for b in product((0, 1), repeat=A.m):
+            x = gauss_solve(A, list(b))
+            assert (x is None) == (b not in images), (A, b)
+            if x is not None:
+                assert tuple(sum(a * v for a, v in zip(row, x)) % 2 for row in A.rows) == b
