@@ -280,7 +280,7 @@ def _sym_parts(field, A, rhs=()):
     else:
         bound = _hadamard_bound(ints, m, n, [_clear_ints(field, b)[0] for b in rhs])
         num = _Num(None, m + n, wrap=bound < 2 ** 63)
-    return num, num.red(_symm(ints, m, n, num.dtype)), scale
+    return num, _symm(ints, m, n, num.dtype), scale
 
 
 def _symm(ints, m, n, dtype):

@@ -463,8 +463,8 @@ def grolmusz_graph(k, cap=None):
     the entry is odd, which pins cliques to the Z2 rank and independent sets
     to the Z3 rank.
     """
-    if not 0 <= k <= 256:  # or_poly_mod_pe needs a modulus p^e <= 16 with (p^e)^2 >= k
-        raise InvalidInput(f"k must be in 0..256, got {k}")
+    if not 0 <= k <= 81:  # or_poly_mod_pe needs a modulus 3^e <= 16 with (3^e)^2 >= k
+        raise InvalidInput(f"k must be in 0..81, got {k}")
     if cap is not None and cap < 1:
         raise InvalidInput(f"cap must be positive, got {cap}")
     total = k ** k

@@ -89,12 +89,6 @@ class Polynomial:
         z = self.field.zero()
         return Polynomial(self.field, [z] * k + list(self.coeffs))
 
-    def __pow__(self, k):
-        acc = Polynomial.one(self.field)
-        for _ in range(k):
-            acc = acc * self
-        return acc
-
     def __call__(self, point):
         """Horner evaluation at a field element."""
         F = self.field
@@ -254,34 +248,29 @@ class PolynomialRing(Ring):
 class PolyMatrix:
     """Block coding (A, d) of an m x n matrix over F[X].
 
-    blocks[k] is the m x n matrix of X^k coefficients; the degree bound d may
-    exceed the true maximal entry degree (blocks are zero-padded to d+1).
+    blocks[k] is the m x n matrix of X^k coefficients, and d = len(blocks) - 1
+    is read off the blocks.  Zero top blocks are legal, so d bounds the true
+    maximal entry degree from above.
     """
 
     __slots__ = ("field", "blocks", "d", "m", "n")
 
-    def __init__(self, field, blocks, d=None):
-        blocks = list(blocks)
+    def __init__(self, field, blocks):
+        blocks = tuple(blocks)
         if not blocks:
             raise DimensionMismatch("need at least the degree-0 block")
         m, n = blocks[0].shape
         if any(b.shape != (m, n) for b in blocks):
             raise DimensionMismatch("coefficient blocks differ in shape")
-        if d is None:
-            d = len(blocks) - 1
-        if d < len(blocks) - 1:
-            raise DimensionMismatch("degree bound below supplied block count")
-        while len(blocks) < d + 1:
-            blocks.append(Matrix.zeros(field, m, n))
         self.field = field
-        self.blocks = tuple(blocks)
-        self.d = d
+        self.blocks = blocks
+        self.d = len(blocks) - 1
         self.m = m
         self.n = n
 
     @classmethod
     def identity(cls, field, k):
-        return cls(field, [Matrix.identity(field, k)], 0)
+        return cls(field, [Matrix.identity(field, k)])
 
     def mcoeff(self, k):
         """Total block extraction: the zero block beyond d."""
@@ -293,25 +282,19 @@ class PolyMatrix:
         """1-based entry as a Polynomial."""
         return Polynomial(self.field, [b.at(i, j) for b in self.blocks])
 
-    def to_matrix(self, ring=None):
+    def to_matrix(self):
         """Generic matrix over F[X] (entries are Polynomial values)."""
-        ring = ring or PolynomialRing(self.field)
-        return Matrix(ring, [[self.entry(i, j) for j in range(1, self.n + 1)]
-                             for i in range(1, self.m + 1)])
+        return Matrix(PolynomialRing(self.field),
+                      [[self.entry(i, j) for j in range(1, self.n + 1)]
+                       for i in range(1, self.m + 1)])
 
     @classmethod
-    def from_matrix(cls, M, d=None):
+    def from_matrix(cls, M):
         """Inverse of to_matrix: M over a PolynomialRing back to blocks."""
         base = M.field.base
-        true_d = max((0 if e.is_zero() else e.deg() for r in M.rows for e in r),
-                     default=0)
-        if d is None:
-            d = true_d
-        if d < true_d:
-            raise DimensionMismatch("degree bound below actual entry degree")
-        blocks = [Matrix(base, [[e.coeff(k) for e in r] for r in M.rows])
-                  for k in range(d + 1)]
-        return cls(base, blocks, d)
+        d = max((0 if e.is_zero() else e.deg() for r in M.rows for e in r), default=0)
+        return cls(base, [Matrix(base, [[e.coeff(k) for e in r] for r in M.rows])
+                          for k in range(d + 1)])
 
     def stacked(self):
         """The (d+1)m x n vertical stack of the blocks."""
@@ -342,7 +325,7 @@ class PolyMatrix:
         prod = big @ other.stacked()
         blocks = [Matrix(F, prod.rows[k * self.m:(k + 1) * self.m])
                   for k in range(d + 1)]
-        return PolyMatrix(F, blocks, d)
+        return PolyMatrix(F, blocks)
 
     def pm_pow(self, k):
         if self.m != self.n:

@@ -64,7 +64,7 @@ from .field import PrimeField, Rationals
 from .matrix import Matrix, mat_vec
 from .poly import Polynomial, PolynomialRing
 from .ratfunc import RationalFunctionField
-from .charpoly import (_berkowitz, charpoly as _charpoly,
+from .charpoly import (CharPoly, _berkowitz, charpoly as _charpoly,
                        trailing_charpolys as _trailing_charpolys)
 from . import _numeric
 from ._numeric import (_berkowitz_mod_p, _clear_ints, _fast_first_column, _horner,
@@ -282,7 +282,8 @@ def solve(A, b, method="auto"):
 def _point_solve(A, bs):
     """solve(A, b) for every b in bs over GF(p) at X = x0, or None when the
     point does not apply (another field, n > m, or p <= max(x0, N(N-1)/2))
-    or does not certify that A has full column rank.
+    or does not certify that A has full column rank.  The scalar kernel's
+    charpoly of C(x0) is read as a CharPoly, like every other charpoly.
 
     mul(x0) >= N - rank C(x0) >= N - 2 rank(A) at every point, so
     N - mul(x0) = 2n proves rank(A) = n.  Then mul(x0) = mul, the least
@@ -295,10 +296,11 @@ def _point_solve(A, bs):
             and field.p > max(_numeric._X0, N * (N - 1) // 2)):
         return None
     C = _point_matrix(field.p, _clear_ints(field, [e for r in A.rows for e in r])[0], m, n)
-    t = _berkowitz_mod_p(C, field.p)[::-1]  # t[k]: the Y^k coefficient; t[N] = 1
-    mul = next(k for k, c in enumerate(t) if c)
+    ch = CharPoly(field, _berkowitz_mod_p(C, field.p), N)
+    mul = ch.root0_mul()
     if N - mul != 2 * n:
         return None
+    t = ch.constant_first()
     tau_inv = field.inv(t[mul])
     xs = []
     for b in bs:

@@ -202,14 +202,12 @@ def to_common_denominator(M):
         raise InvalidInput("expected a matrix over a rational-function field")
     base = field.base
     entries = [e for r in M.rows for e in r]
-    g = Polynomial.one(base)
-    for e in entries:
-        g = g * e.den
     # product of the other denominators = prefix[i] * suffix[i+1]
     k = len(entries)
     prefix = [Polynomial.one(base)] * (k + 1)
     for i, e in enumerate(entries):
         prefix[i + 1] = prefix[i] * e.den
+    g = prefix[k]
     suffix = [Polynomial.one(base)] * (k + 1)
     for i in range(k - 1, -1, -1):
         suffix[i] = entries[i].den * suffix[i + 1]
@@ -219,7 +217,7 @@ def to_common_denominator(M):
     for t in range(d + 1):
         blocks.append(Matrix(base, [[scaled[i * M.n + j].coeff(t)
                                      for j in range(M.n)] for i in range(M.m)]))
-    return RatMatrixCode(g, PolyMatrix(base, blocks, d))
+    return RatMatrixCode(g, PolyMatrix(base, blocks))
 
 
 def rat_matrix_pow(k, code):

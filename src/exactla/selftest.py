@@ -421,13 +421,13 @@ def run_criterion(number, seed=7):
     raise ValueError(f"no criterion numbered {number}")
 
 
-def run_all(seed=7, only=None, out=print):
+def run_all(seed=7, only=None):
     ok_all = True
     for num, name, _, _ in CRITERIA:
         if only is not None and num not in only:
             continue
         ok, elapsed, budget, note = run_criterion(num, seed)
         status = "PASS" if ok else "FAIL"
-        out(f"{status} criterion {num:2d} ({name}): {note} [{elapsed:.1f}s/{budget:.0f}s]")
+        print(f"{status} criterion {num:2d} ({name}): {note} [{elapsed:.1f}s/{budget:.0f}s]")
         ok_all = ok_all and ok
     return ok_all

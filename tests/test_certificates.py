@@ -27,6 +27,8 @@ cb = importlib.import_module("exactla.combinatorics")
 ODD = "4 3\n1110\n1101\n1011\n"  # an oddtown family
 FANO = "7 7\n1101000\n0110100\n0011010\n0001101\n1000110\n0100011\n1010001\n"
 DEFICIENT = "3 3\n1 2 3\n4 5 6\n7 8 9\n"  # rank 2: column 3 = 2 col 2 - col 1
+# L = {0, 1}: every two members meet in at most one point; the RCW bound is 11
+RCW = "4 4\n1100\n0011\n1010\n0101\n"
 
 
 def _failed(argv, capsys):
@@ -136,3 +138,38 @@ def test_independence_bound_fires(capsys, monkeypatch):
         cb.ramsey_check(built["graph"], built["rank2"], built["rank3"])
     assert _failed(["ramsey", "--k", "2"], capsys) == (
         1, "failed: CertificateFailed: independent set 2 beats the Z3 bound 1\n")
+
+
+# the count-basis checks (degree above |L|, evaluation faithfulness) fire in
+# test_cli.py::test_rcw_checks_the_multilinearized_coefficients
+@pytest.mark.parametrize("module, name, fake, err", [
+    (cb.cc, "_eval_at", lambda root, field, points: [0] * len(points),
+     "PreconditionViolated: zero diagonal in the evaluation matrix"),
+    (cb.cc, "_eval_at", lambda root, field, points: [1] * len(points),
+     "PreconditionViolated: evaluation matrix is not upper triangular"),
+    (cb, "_ball", lambda n, s: 3, "PreconditionViolated: family of 4 sets exceeds the bound 3"),
+], ids=["zero-diagonal", "not-triangular", "bound"])
+def test_rcw_certificate_fires(tmp_path, capsys, monkeypatch, module, name, fake, err):
+    path = tmp_path / "rcw.txt"
+    path.write_text(RCW)
+    argv = ["rcw", str(path), "--intersections", "0,1"]
+    assert _failed(argv, capsys)[0] == 0
+    monkeypatch.setattr(module, name, fake)
+    assert _failed(argv, capsys) == (1, f"failed: {err}\n")
+
+
+def test_rcw_zero_diagonal_exits_1_under_optimize(tmp_path):
+    path = tmp_path / "rcw.txt"
+    path.write_text(RCW)
+    code = ("import importlib\n"
+            "from exactla.cli import run\n"
+            "circuit = importlib.import_module('exactla.circuit')\n"
+            "circuit._eval_at = lambda root, field, points: [0] * len(points)\n"
+            f"code = run(['rcw', {str(path)!r}, '--intersections', '0,1'])\n"
+            "print(__debug__, code)\n")
+    src = str(Path(exactla.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "False 1\n"
+    assert out.stderr == "failed: PreconditionViolated: zero diagonal in the evaluation matrix\n"

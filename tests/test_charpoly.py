@@ -235,3 +235,36 @@ def test_charpoly_coeff_helpers():
     ch = charpoly(M([[1, 2], [3, 4]]))
     assert list(ch.constant_first()) == list(reversed(ch.coeffs))
     assert ch.coeff_of(0) == Fraction(-2) and ch.coeff_of(2) == 1
+
+
+def _q_case(kind, n):
+    """An n x n matrix over Q: integers in [-5, 5], fractions a/b with
+    b in 1..6, or integers of rank n // 2 (rows past it combine earlier ones)."""
+    rng = SplitMix64(1000 + n)
+    if kind == "fractional":
+        return Matrix(QQ, [[Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)]
+                           for _ in range(n)])
+    rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+    if kind == "deficient":
+        r = n // 2
+        for i in range(r, n):
+            c = [rng.randint(-1, 1) for _ in range(r)]
+            rows[i] = [sum(ck * rows[k][j] for k, ck in enumerate(c)) for j in range(n)]
+    return Matrix.from_ints(QQ, rows)
+
+
+@pytest.mark.parametrize("kind, n", [("integer", 12), ("fractional", 16), ("fractional", 20),
+                                     ("deficient", 20)])
+def test_q_charpoly_and_det_match_sympy(kind, n):
+    # sympy's charpoly shares no code with ours: a reference past the sizes
+    # the cofactor oracle reaches
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    A = _q_case(kind, n)
+    D = DomainMatrix([[sympy.QQ(e.numerator, e.denominator) for e in row] for row in A.rows],
+                     (n, n), sympy.QQ)
+    want = [Fraction(int(c.numerator), int(c.denominator)) for c in D.charpoly()]
+    assert list(charpoly(A).coeffs) == want
+    d = D.det()
+    assert det(A) == Fraction(int(d.numerator), int(d.denominator))
+    assert (det(A) == 0) == (kind == "deficient")

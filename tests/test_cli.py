@@ -246,6 +246,15 @@ def test_ramsey_past_the_vertex_limit_exits_1_quickly(capsys):
     assert captured.err == "failed: CapExceeded: 3125 vertices; pass an explicit cap <= 256\n"
 
 
+def test_ramsey_k_stops_where_the_mod_3_modulus_does(capsys):
+    # the mod-3 OR-polynomial needs 3^e <= 16 with (3^e)^2 >= k, so k <= 9^2
+    assert run(["ramsey", "--k", "81", "--cap", "2"]) == 0
+    assert capsys.readouterr().out.startswith("k = 81, vertices = 2,")
+    assert run(["ramsey", "--k", "82", "--cap", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: k must be in 0..81, got 82\n"
+
+
 @pytest.mark.parametrize("argv, head", [
     (["--k", "3"], "k = 3, vertices = 27, edge rule: entry odd\n"
                    "rank2 = 6, rank3 = 14\nclique = 4 <= 7\nindependence = 4 <= 106\n"),

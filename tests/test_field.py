@@ -74,6 +74,14 @@ def test_matrix_from_ints_shares_equal_entries():
     assert A.rows[0][0] is A.rows[1][1] and A.rows[0][1] is A.rows[1][0]
 
 
+def test_matrix_extract_is_total():
+    # LAP's entry function e(A, i, j): the entry inside the matrix, 0 outside
+    A = Matrix.from_ints(GF5, [[1, 2, 3], [4, 0, 1]])
+    assert [[A.extract(i, j) for j in range(0, 5)] for i in range(0, 4)] == [
+        [0, 0, 0, 0, 0], [0, 1, 2, 3, 0], [0, 4, 0, 1, 0], [0, 0, 0, 0, 0]]
+    assert A.extract(1, 2) == A.at(1, 2)
+
+
 def test_prime_modulus_checked():
     with pytest.raises(InvalidInput):
         PrimeField(9)

@@ -211,3 +211,21 @@ def test_point_gate_reads_x0(monkeypatch, x_kernel_runs, rows, below, above):
     assert solve(A, b) == want
     assert scalar == []
     assert x_kernel_runs == [A.m + A.n]
+
+
+def test_point_solve_takes_one_scalar_charpoly(monkeypatch):
+    scalar = []
+    berkowitz = rank_mod._berkowitz_mod_p
+    monkeypatch.setattr(rank_mod, "_berkowitz_mod_p",
+                        lambda C, p: scalar.append(p) or berkowitz(C, p))
+    rng = SplitMix64(28)
+    for m, n in ((3, 3), (8, 5), (12, 12)):
+        A = _rand(rng, GFP, m, n)
+        bs = [mat_vec(A, [rng.below(GFP.p) for _ in range(n)]) for _ in range(3)]
+        assert rank_mod._point_solve(A, bs) == [oracles.gauss_solve(A, b) for b in bs]
+        assert scalar == [GFP.p]
+        scalar.clear()
+    # a repeated column: the point declines after the same one charpoly
+    A = Matrix.from_ints(GFP, [[1, 1], [2, 2], [3, 3]])
+    assert rank_mod._point_solve(A, [[1, 2, 3]]) is None
+    assert scalar == [GFP.p]

@@ -157,3 +157,13 @@ def test_polymatrix_roundtrip_with_entry_matrices():
                                          for _ in range(rng.randint(1, 3))])
                          for _ in range(n)] for _ in range(m)])
         assert PolyMatrix.from_matrix(M).to_matrix() == M
+
+
+def test_polymatrix_degree_is_read_off_its_blocks():
+    A0, Z = Matrix.from_ints(QQ, [[1, 2], [3, 4]]), Matrix.zeros(QQ, 2, 2)
+    zero_top = PolyMatrix(QQ, [A0, Z])  # an explicit zero top block stays legal
+    assert zero_top.d == 1 and zero_top.mcoeff(1) == Z
+    assert zero_top == PolyMatrix(QQ, [A0])
+    M = zero_top.to_matrix()
+    assert PolyMatrix.from_matrix(M).d == 0
+    assert PolyMatrix.from_matrix(M).to_matrix() == M
