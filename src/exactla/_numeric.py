@@ -249,8 +249,7 @@ def _horner(num, B, ch, b_ints):
             acc = _matvec(num, B, 0, acc)
         t = ch.coeff_of(j + mul)
         if t is not None and len(brows):
-            # asarray: ch may come from another ring (tests substitute object arrays)
-            tvals = num.lift(np.asarray(t[1], dtype=num.dtype))
+            tvals = num.lift(t[1])
             term = _stagger(num, brows, t[0], num.red(np.multiply.outer(num.lift(bvals), tvals)))
             acc = term if acc is None else _vadd(num, acc, term)
     out = [0] * N
@@ -265,7 +264,7 @@ def _clear_ints(field, elems):
     """Integer images of the elements plus the exact scale used."""
     if isinstance(field, PrimeField):
         return [int(e) % field.p for e in elems], 1
-    scale = lcm(*(Fraction(e).denominator for e in elems)) if elems else 1
+    scale = lcm(*(Fraction(e).denominator for e in elems))
     return [int(e * scale) for e in elems], scale
 
 

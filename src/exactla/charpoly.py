@@ -67,8 +67,6 @@ def _col_first_column(A, k):
     F = A.field
     n = A.n
     col = [F.one(), F.neg(A.at(k, k))]
-    if k == n:
-        return col
     R = [A.at(k, j) for j in range(k + 1, n + 1)]
     S = [A.at(i, k) for i in range(k + 1, n + 1)]
     trailing = [[A.at(i, j) for j in range(k + 1, n + 1)] for i in range(k + 1, n + 1)]

@@ -432,9 +432,6 @@ def run(argv):
     except ExactLAError as exc:
         print(f"failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except AssertionError as exc:
-        print(f"failed: {exc}", file=sys.stderr)
-        return 1
     if isinstance(result, int):  # selftest, which printed its own lines
         return result
     report, lines = result

@@ -83,12 +83,6 @@ class Matrix:
     def __add__(self, other):
         return self.add(other)
 
-    def sub(self, other):
-        return self + (-other)
-
-    def __sub__(self, other):
-        return self.sub(other)
-
     def __neg__(self):
         F = self.field
         return Matrix(F, [[F.neg(a) for a in r] for r in self.rows])

@@ -84,8 +84,6 @@ class Polynomial:
 
     def shift(self, k):
         """Multiply by X^k."""
-        if self.is_zero():
-            return self
         z = self.field.zero()
         return Polynomial(self.field, [z] * k + list(self.coeffs))
 

@@ -56,8 +56,6 @@ finds it.  Its answers pass the same contract check; a point that does not
 certify, or an answer that fails the check, leaves the system to the X kernel.
 """
 
-from fractions import Fraction
-
 from .errors import (CertificateFailed, DimensionMismatch, IndexOutOfRange,
                      InvalidInput, Unsolvable, ZeroMatrix)
 from .field import PrimeField, Rationals
@@ -151,7 +149,7 @@ class RankReport:
         if not isinstance(ch.field, _numeric._Num):
             return Polynomial(fx, [fx.from_poly(c) for c in ch.constant_first()])
         return Polynomial(fx, [fx.from_poly(Polynomial(field, [
-            field.from_int(c) if scale == 1 else Fraction(c, scale ** (ch.n - i))
+            field.div(field.from_int(c), field.from_int(scale ** (ch.n - i)))
             for c in ch.field.to_ints(ch.coeff_of(i))])) for i in range(ch.n + 1)])
 
     def __repr__(self):

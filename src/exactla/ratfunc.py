@@ -152,7 +152,7 @@ class RationalFunctionField(Field):
             return ring.format(a.num)
         return f"{ring.format(a.num)} / {ring.format(a.den)}"
 
-    # extras used by the rank machinery
+    # evaluation and the polynomial test
 
     def eval_at(self, a, point):
         """Value of a at X = point, a base field element."""

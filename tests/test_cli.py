@@ -143,9 +143,8 @@ def test_exit_code_corrupt_kernel(tmp_path, capsys, monkeypatch):
     # a charpoly whose root-0 multiplicity leaves an odd rank numerator is a
     # failed certificate (exit 1), not malformed input (exit 2)
     kernel = importlib.import_module("exactla.rank")  # the package re-exports rank()
-    one = (0, np.ones(1, dtype=object))
     monkeypatch.setattr(kernel, "_fast_charpoly", lambda num, B: CharPoly(
-        num, [one] * B.shape[0] + [None], B.shape[0]))
+        num, [(0, np.ones(1, dtype=num.dtype))] * B.shape[0] + [None], B.shape[0]))
     A = _write(tmp_path, "A.txt", "1 1\n1\n")
     assert run(["rank", A]) == 1
     err = capsys.readouterr().err

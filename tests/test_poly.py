@@ -96,6 +96,11 @@ def test_shift_and_monic():
     assert P(2, 4).monic() == P(Fraction(1, 2) * 2, 2).monic() == P(Fraction(1, 2), 1)
 
 
+def test_shift_of_zero_is_zero():
+    assert P(0).shift(3) == P(0)
+    assert P(0).shift(3).is_zero()
+
+
 def test_distinct_point_witness():
     i = distinct_point_witness(Polynomial.x(QQ), [Fraction(0), Fraction(1)])
     assert i == 1

@@ -485,9 +485,8 @@ def test_kernel_checks_its_coefficients(tmp_path, capsys, monkeypatch):
     # the command (exit 1) instead of printing unchecked vectors
     from exactla.cli import run
     kernel = importlib.import_module("exactla.rank")
-    one = (0, np.ones(1, dtype=object))
     monkeypatch.setattr(kernel, "_fast_charpoly", lambda num, B: CharPoly(
-        num, [one] * B.shape[0] + [None], B.shape[0]))
+        num, [(0, np.ones(1, dtype=num.dtype))] * B.shape[0] + [None], B.shape[0]))
     path = tmp_path / "A.txt"
     path.write_text("1 2\n1 1\n")
     assert run(["kernel", str(path)]) == 1
