@@ -29,8 +29,9 @@ Two kernels use them:
 Both lay out B = symm(A) with _symm.  The rank kernel also runs at one point
 X = x0 over GF(p), p > max(x0, N(N-1)/2): _point_matrix builds
 C(x0) = diag(x0^0..x0^(N-1)) * B, the scalar kernel takes its characteristic
-polynomial, and _point_horner is _horner's sum on scalars.  rank._point_solve
-keeps that gate and reads full column rank and the solutions off them.
+polynomial, and _point_horner is _horner's sum on scalars.
+rank._point_charpoly keeps that gate; rank.mulmuley_rank reads a full rank
+off its charpoly, and rank._point_solve full column rank and the solutions.
 
 np.convolve is always called through the numpy module attribute, so a
 profiler that wraps numpy.convolve sees every convolution.

@@ -37,8 +37,8 @@ possibly nonzero rows over one X-span.  The X-polynomials are a ring
 (_numeric._Num), which _fast_trailing_charpolys runs through charpoly.py's
 one Berkowitz loop, so both paths yield CharPoly values; this module reads
 an element only as _Num.to_ints, its constant-first list of ints.
-mulmuley_rank keeps the CharPoly, from which RankReport builds
-charpoly_of_polize over F(X) only when read.  B is bipartite, so half of
+RankReport keeps A and the method, and builds charpoly_of_polize over F(X)
+from that method's X kernel only when read.  B is bipartite, so half of
 every Berkowitz vector and first column is zero, and low X-degrees start out
 empty: the Toeplitz combine convolves only pairs of nonzero operands, and
 the first-column matvecs multiply only the rows a vector occupies and the
@@ -47,13 +47,15 @@ whose row i is the monomial b_i X^i, so each scalar-times-vector step is a
 shift and scale; it returns the X^s coefficient of every row as ints, s the
 least X-degree of p~(0).
 
-Where _point_solve's own gate holds (GF(p), n <= m, p > max(x0, N(N-1)/2)),
-solve and the coefficient solves of the greedy selections first evaluate
-at one point X = x0: the scalar characteristic polynomial of
-C(x0) = diag(x0^i) * symm(A) bounds rank(A) from below at every point, so
-when it shows full column rank the solution is unique, and one scalar Horner
-finds it.  Its answers pass the same contract check; a point that does not
-certify, or an answer that fails the check, leaves the system to the X kernel.
+Over GF(p) with p > max(x0, N(N-1)/2), where _point_charpoly's gate holds,
+rank, solve and the coefficient solves of the greedy selections first
+evaluate at one point X = x0: the scalar characteristic polynomial of
+C(x0) = diag(x0^i) * symm(A) bounds rank(A) from below at every point.  When
+that bound reaches min(m, n) it is the rank, with no X-polynomial at all;
+when it shows full column rank (n <= m) the solution is unique, and one
+scalar Horner finds it.  Its answers pass the same contract check.  A point
+that does not certify, or an answer that fails the check, leaves the input
+to the X kernel, so rank-deficient inputs still take the X kernel.
 """
 
 from .errors import (CertificateFailed, DimensionMismatch, IndexOutOfRange,
@@ -130,21 +132,22 @@ def polize(A, ring=None):
 # result records
 
 class RankReport:
-    """rank(A) = (m + n - mul) / 2, mul the root-0 multiplicity of ch, the
-    CharPoly the kernel computed: that of polize(A), or on the fast path of
-    scale * polize(A).  charpoly_of_polize is built from ch when read."""
+    """rank(A) = (m + n - mul) / 2, mul the root-0 multiplicity of the
+    charpoly of polize(A), read off the point or the X kernel (mulmuley_rank).
+    charpoly_of_polize runs method's X kernel on A when read."""
 
-    __slots__ = ("m", "n", "mul", "rank", "_field", "_ch", "_scale")
+    __slots__ = ("m", "n", "mul", "rank", "_A", "_method")
 
-    def __init__(self, A, ch, scale):
-        self.m, self.n, self._field, self._ch, self._scale = A.m, A.n, A.field, ch, scale
-        self.mul = ch.root0_mul()
-        self.rank = _rank_of(A.m + A.n, self.mul)
+    def __init__(self, A, method, mul):
+        self.m, self.n, self._A, self._method = A.m, A.n, A, method
+        self.mul = mul
+        self.rank = _rank_of(A.m + A.n, mul)
 
     @property
     def charpoly_of_polize(self):
         """The exact charpoly of polize(A) over F(X): t_i(cC) = c^(N-i) t_i(C)."""
-        field, ch, scale = self._field, self._ch, self._scale
+        field = self._A.field
+        ch, scale = _x_charpoly(self._A, self._method)
         fx = RationalFunctionField(field)
         if not isinstance(ch.field, _numeric._Num):
             return Polynomial(fx, [fx.from_poly(c) for c in ch.constant_first()])
@@ -211,11 +214,42 @@ def _use_fast(field, method):
 # ---------------------------------------------------------------------------
 # rank
 
-def mulmuley_rank(A, method="auto"):
+def _point_charpoly(A, method="auto"):
+    """(C(x0), its CharPoly) for C(x0) = diag(x0^i) * symm(A) mod p, the one
+    scalar charpoly of the point path, or None where the point does not
+    apply: another field than GF(p), method="generic", or
+    p <= max(x0, N(N-1)/2).
+
+    mul(x0) >= N - rank C(x0) >= N - 2 rank(A) at every point, so
+    (N - mul(x0)) / 2 is a lower bound on rank(A)."""
+    field, m, n = A.field, A.m, A.n
+    N = m + n
+    if not (_use_fast(field, method) and isinstance(field, PrimeField)
+            and field.p > max(_numeric._X0, N * (N - 1) // 2)):
+        return None
+    C = _point_matrix(field.p, _clear_ints(field, [e for r in A.rows for e in r])[0], m, n)
+    return C, CharPoly(field, _berkowitz_mod_p(C, field.p), N)
+
+
+def _x_charpoly(A, method):
+    """(ch, scale): the CharPoly of scale * polize(A) over F[X] from method's
+    X kernel, the fast one or the generic one."""
     if _use_fast(A.field, method):
         num, B, scale = _sym_parts(A.field, A)
-        return RankReport(A, _fast_charpoly(num, B), scale)
-    return RankReport(A, _generic_charpoly(A)[1], 1)
+        return _fast_charpoly(num, B), scale
+    return _generic_charpoly(A)[1], 1
+
+
+def mulmuley_rank(A, method="auto"):
+    """rank(A) from the root-0 multiplicity of charpoly(polize(A)).  Over
+    GF(p) the point's lower bound comes first: when it reaches min(m, n) it
+    is the rank, and mul(x0) = N - 2 rank = mul.  Otherwise the X kernel."""
+    point = _point_charpoly(A, method)
+    if point is not None:
+        mul = point[1].root0_mul()
+        if A.m + A.n - mul == 2 * min(A.m, A.n):
+            return RankReport(A, method, mul)
+    return RankReport(A, method, _x_charpoly(A, method)[0].root0_mul())
 
 
 def _rank_of(order, mul):
@@ -279,24 +313,20 @@ def solve(A, b, method="auto"):
 
 def _point_solve(A, bs):
     """solve(A, b) for every b in bs over GF(p) at X = x0, or None when the
-    point does not apply (another field, n > m, or p <= max(x0, N(N-1)/2))
-    or does not certify that A has full column rank.  The scalar kernel's
-    charpoly of C(x0) is read as a CharPoly, like every other charpoly.
+    point does not apply (n > m, or _point_charpoly declines) or does not
+    certify that A has full column rank.
 
-    mul(x0) >= N - rank C(x0) >= N - 2 rank(A) at every point, so
-    N - mul(x0) = 2n proves rank(A) = n.  Then mul(x0) = mul, the least
-    nonzero coefficient tau = t_mul(x0) is p~(0) at x0, and evaluating
-    symm(A) v = p~(0) [b; 0] at x0 gives the solution, unique since the
-    columns are independent."""
+    N - mul(x0) = 2n proves rank(A) = n (_point_charpoly's lower bound).
+    Then mul(x0) = mul, the least nonzero coefficient tau = t_mul(x0) is
+    p~(0) at x0, and evaluating symm(A) v = p~(0) [b; 0] at x0 gives the
+    solution, unique since the columns are independent."""
     field, m, n = A.field, A.m, A.n
-    N = m + n
-    if not (isinstance(field, PrimeField) and n <= m
-            and field.p > max(_numeric._X0, N * (N - 1) // 2)):
+    point = _point_charpoly(A) if n <= m else None
+    if point is None:
         return None
-    C = _point_matrix(field.p, _clear_ints(field, [e for r in A.rows for e in r])[0], m, n)
-    ch = CharPoly(field, _berkowitz_mod_p(C, field.p), N)
+    C, ch = point
     mul = ch.root0_mul()
-    if N - mul != 2 * n:
+    if m + n - mul != 2 * n:
         return None
     t = ch.constant_first()
     tau_inv = field.inv(t[mul])
