@@ -27,18 +27,21 @@ Two kernels use them:
     square GF(p) matrix here, and det, adjugate, inverse and quasi_inverse follow.
 
 Both lay out B = symm(A) with _symm.  The rank kernel also runs at one point
-X = x0 over GF(p), p > max(x0, N(N-1)/2): _point_matrix builds
-C(x0) = diag(x0^0..x0^(N-1)) * B, the scalar kernel takes its characteristic
-polynomial, and _point_horner is _horner's sum on scalars.
-rank._point_charpoly keeps that gate; rank.mulmuley_rank reads a full rank
-off its charpoly, and rank._point_solve full column rank and the solutions.
+X = x0 mod a prime p > max(x0, N(N-1)/2), p itself over GF(p) and the word
+primes _PRIMES over Q: _point_matrix builds C(x0) = diag(x0^0..x0^(N-1)) * B
+mod p from any integers, the scalar kernel takes its characteristic
+polynomial, and _point_horner is _horner's sum on scalars.  Over Q, the
+modular layer (_crt, Garner's CRT, and _ratrecon, rational reconstruction)
+turns solve's residues mod several word primes back into rationals.
+rank._point_primes keeps the gate; rank.mulmuley_rank reads a full rank off
+the charpoly, and rank._point_solve full column rank and the solutions.
 
 np.convolve is always called through the numpy module attribute, so a
 profiler that wraps numpy.convolve sees every convolution.
 """
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -49,6 +52,11 @@ def _int64_safe(p, terms):
     """Whether a sum of `terms` products of residues mod p, each at most
     (p-1)^2, stays below 2^63."""
     return (p - 1) ** 2 * terms < 2 ** 63
+
+
+def _norm_ceil(v):
+    """ceil(||v||_2) for a vector of integers."""
+    return isqrt(sum(a * a for a in v) - 1) + 1 if any(v) else 0
 
 
 def _max_elementary(rho):
@@ -74,8 +82,7 @@ def _hadamard_bound(ints, m, n, rhs=()):
     each X-coefficient of the product is at most ||b||_1 times T', the
     largest max_k e_k(rho without rho_j) over the rows j < m of b."""
     rows = [ints[i * n:(i + 1) * n] for i in range(m)]
-    rho = [isqrt(sum(a * a for a in r) - 1) + 1 if any(r) else 0
-           for r in rows + [ints[j::n] for j in range(n)]]
+    rho = [_norm_ceil(r) for r in rows + [ints[j::n] for j in range(n)]]
     bound = _max_elementary(rho)
     b_norm = max((sum(map(abs, b)) for b in rhs), default=0)
     if b_norm:
@@ -265,16 +272,17 @@ def _clear_ints(field, elems):
     """Integer images of the elements plus the exact scale used."""
     if isinstance(field, PrimeField):
         return [int(e) % field.p for e in elems], 1
-    scale = lcm(*(Fraction(e).denominator for e in elems))
-    return [int(e * scale) for e in elems], scale
+    scale = lcm(*(e.denominator for e in elems))
+    return [e.numerator * (scale // e.denominator) for e in elems], scale
 
 
-def _sym_parts(field, A, rhs=()):
+def _sym_parts(field, A, rhs=(), cleared=None):
     """Numeric kernel data for polize(A): (num, B, scale).  Over Q, num is
     Z/2^64 when _hadamard_bound proves every integer read back for A and the
-    right-hand sides rhs (solve's) below 2^63, and Z otherwise."""
+    right-hand sides rhs (solve's) below 2^63, and Z otherwise.  cleared is
+    A's _clear_ints when the caller has it already."""
     m, n = A.m, A.n
-    ints, scale = _clear_ints(field, [e for r in A.rows for e in r])
+    ints, scale = cleared or _clear_ints(field, [e for r in A.rows for e in r])
     if isinstance(field, PrimeField):
         num = _Num(field.p, m + n)
     else:
@@ -331,12 +339,12 @@ _X0 = 2
 
 
 def _point_matrix(p, ints, m, n):
-    """C(x0) mod p for the m x n matrix of residues ints (row-major), int64
+    """C(x0) mod p for the m x n matrix of integers ints (row-major), int64
     when the scalar kernel's sums of N + 1 products fit and object otherwise."""
     N = m + n
     dtype = np.int64 if _int64_safe(p, N + 1) else object
     powers = np.array([pow(_X0, i, p) for i in range(N)], dtype=dtype)
-    return _symm(ints, m, n, dtype) * powers[:, None] % p
+    return _symm([e % p for e in ints], m, n, dtype) * powers[:, None] % p
 
 
 def _point_horner(C, ts, b_ints, p):
@@ -351,3 +359,43 @@ def _point_horner(C, ts, b_ints, p):
     for t in reversed(ts):
         acc = (C.dot(acc) + t * u) % p
     return acc.tolist()
+
+
+# ---------------------------------------------------------------------------
+# the modular layer over Q: word primes, Garner's CRT, rational reconstruction
+
+# The 64 largest primes below 2^28, largest first.  (p - 1)^2 (N + 1) < 2^63
+# keeps C(x0) mod p in int64 for N + 1 <= 128, and a literal costs no search.
+_PRIMES = (
+    268435399, 268435367, 268435361, 268435337, 268435331, 268435313, 268435291, 268435273,
+    268435243, 268435183, 268435171, 268435157, 268435147, 268435133, 268435129, 268435121,
+    268435109, 268435091, 268435067, 268435043, 268435039, 268435033, 268435019, 268435009,
+    268435007, 268434997, 268434979, 268434977, 268434961, 268434949, 268434941, 268434937,
+    268434857, 268434841, 268434827, 268434821, 268434787, 268434781, 268434779, 268434773,
+    268434731, 268434721, 268434713, 268434707, 268434703, 268434697, 268434659, 268434623,
+    268434619, 268434581, 268434577, 268434563, 268434557, 268434547, 268434511, 268434499,
+    268434479, 268434461, 268434401, 268434391, 268434389, 268434373, 268434289, 268434281,
+)
+
+
+def _crt(r, M, a, p):
+    """Garner's step: the x in (-Mp/2, Mp/2] with x = r mod M and x = a mod p,
+    for a prime p not dividing M, as a Python int (a may be a numpy integer)."""
+    r %= M
+    x = r + M * ((int(a) - r) * pow(M, -1, p) % p)
+    return x - M * p if 2 * x > M * p else x
+
+
+def _ratrecon(u, M):
+    """The fraction n/d with n = d u mod M, |n| <= B and 0 < d <= B for
+    B = isqrt((M - 1) / 2), or None when there is none.  2 B^2 < M makes it
+    unique; Wang's extended Euclid on (M, u) finds it (von zur Gathen &
+    Gerhard, Theorem 5.26)."""
+    B = isqrt((M - 1) // 2)
+    r0, r1, t0, t1 = M, u % M, 0, 1
+    while r1 > B:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > B or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)

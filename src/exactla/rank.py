@@ -47,16 +47,26 @@ whose row i is the monomial b_i X^i, so each scalar-times-vector step is a
 shift and scale; it returns the X^s coefficient of every row as ints, s the
 least X-degree of p~(0).
 
-Over GF(p) with p > max(x0, N(N-1)/2), where _point_charpoly's gate holds,
-rank, solve and the coefficient solves of the greedy selections first
-evaluate at one point X = x0: the scalar characteristic polynomial of
-C(x0) = diag(x0^i) * symm(A) bounds rank(A) from below at every point.  When
-that bound reaches min(m, n) it is the rank, with no X-polynomial at all;
-when it shows full column rank (n <= m) the solution is unique, and one
-scalar Horner finds it.  Its answers pass the same contract check.  A point
-that does not certify, or an answer that fails the check, leaves the input
-to the X kernel, so rank-deficient inputs still take the X kernel.
+Over GF(p) with p > max(x0, N(N-1)/2), and over Q, rank, solve and the
+coefficient solves of the greedy selections first evaluate at one point
+X = x0 mod a prime (_point_primes): p itself, or over Q a word prime below
+2^28 on A's entries cleared to integers.  Both maps are ring maps, so the
+scalar characteristic polynomial of C(x0) = diag(x0^i) * symm(A) mod p
+bounds rank(A) from below at every point and prime.  When that bound
+reaches min(m, n) it is the rank, with no X-polynomial at all; when it
+shows full column rank (n <= m) the solution is unique, and one scalar
+Horner finds it mod p.  Over Q the Horner runs mod successive word primes,
+Garner's CRT joins the residues and rational reconstruction recovers the
+entries (_numeric's modular layer), until a candidate passes the check or a
+Hadamard bound on Cramer's rule caps the primes.  Every answer passes the
+same contract check.  A point that does not certify, or an answer that
+fails the check, leaves the input to the X kernel, so rank-deficient inputs
+still take the X kernel.
 """
+
+from fractions import Fraction
+from functools import cache
+from math import prod
 
 from .errors import (CertificateFailed, DimensionMismatch, IndexOutOfRange,
                      InvalidInput, Unsolvable, ZeroMatrix)
@@ -67,8 +77,9 @@ from .ratfunc import RationalFunctionField
 from .charpoly import (CharPoly, _berkowitz, charpoly as _charpoly,
                        trailing_charpolys as _trailing_charpolys)
 from . import _numeric
-from ._numeric import (_berkowitz_mod_p, _clear_ints, _fast_first_column, _horner,
-                       _point_horner, _point_matrix, _sym_parts)
+from ._numeric import (_PRIMES, _berkowitz_mod_p, _clear_ints, _crt, _fast_first_column,
+                       _horner, _norm_ceil, _point_horner, _point_matrix, _ratrecon,
+                       _sym_parts)
 
 
 # ---------------------------------------------------------------------------
@@ -214,42 +225,64 @@ def _use_fast(field, method):
 # ---------------------------------------------------------------------------
 # rank
 
-def _point_charpoly(A, method="auto"):
-    """(C(x0), its CharPoly) for C(x0) = diag(x0^i) * symm(A) mod p, the one
-    scalar charpoly of the point path, or None where the point does not
-    apply: another field than GF(p), method="generic", or
-    p <= max(x0, N(N-1)/2).
-
-    mul(x0) >= N - rank C(x0) >= N - 2 rank(A) at every point, so
-    (N - mul(x0)) / 2 is a lower bound on rank(A)."""
-    field, m, n = A.field, A.m, A.n
-    N = m + n
-    if not (_use_fast(field, method) and isinstance(field, PrimeField)
-            and field.p > max(_numeric._X0, N * (N - 1) // 2)):
-        return None
-    C = _point_matrix(field.p, _clear_ints(field, [e for r in A.rows for e in r])[0], m, n)
-    return C, CharPoly(field, _berkowitz_mod_p(C, field.p), N)
+def _point_primes(A, method):
+    """The primes p the point path may reduce A mod, in order: p itself over
+    GF(p), the word primes _PRIMES over Q, and none for other fields or
+    method="generic".  Each needs p > max(x0, N(N-1)/2): x0 is then nonzero
+    mod p, and t_mul, of X-degree at most N(N-1)/2, has a nonroot in GF(p)."""
+    field, N = A.field, A.m + A.n
+    if not _use_fast(field, method):
+        return ()
+    primes = (field.p,) if isinstance(field, PrimeField) else _PRIMES
+    # the smallest prime is last
+    return primes if primes[-1] > max(_numeric._X0, N * (N - 1) // 2) else ()
 
 
-def _x_charpoly(A, method):
+@cache
+def _word_field(p):
+    """GF(p) for a word prime p of _PRIMES, built once: PrimeField tests its
+    modulus for primality."""
+    return PrimeField(p)
+
+
+def _point_charpoly(A, ints, p):
+    """(C(x0), its CharPoly over GF(p)) for C(x0) = diag(x0^i) * symm(A) mod
+    p, the point path's one scalar charpoly, where ints are A's entries
+    cleared to integers (_clear_ints), row-major.
+
+    Setting X = x0 and reducing mod p are ring maps, so
+    mul(x0) >= N - rank C(x0) >= N - 2 rank(A) at every point and prime:
+    (N - mul(x0)) / 2 is a lower bound on rank(A).  It is an integer, since
+    the charpoly of the bipartite C(x0) is Y^|m-n| g(Y^2)."""
+    F = A.field if isinstance(A.field, PrimeField) else _word_field(p)
+    C = _point_matrix(p, ints, A.m, A.n)
+    return C, CharPoly(F, _berkowitz_mod_p(C, p), A.m + A.n)
+
+
+def _x_charpoly(A, method, cleared=None):
     """(ch, scale): the CharPoly of scale * polize(A) over F[X] from method's
-    X kernel, the fast one or the generic one."""
+    X kernel, the fast one (on cleared, A's _clear_ints, if given) or the
+    generic one."""
     if _use_fast(A.field, method):
-        num, B, scale = _sym_parts(A.field, A)
+        num, B, scale = _sym_parts(A.field, A, cleared=cleared)
         return _fast_charpoly(num, B), scale
     return _generic_charpoly(A)[1], 1
 
 
 def mulmuley_rank(A, method="auto"):
     """rank(A) from the root-0 multiplicity of charpoly(polize(A)).  Over
-    GF(p) the point's lower bound comes first: when it reaches min(m, n) it
-    is the rank, and mul(x0) = N - 2 rank = mul.  Otherwise the X kernel."""
-    point = _point_charpoly(A, method)
-    if point is not None:
-        mul = point[1].root0_mul()
-        if A.m + A.n - mul == 2 * min(A.m, A.n):
+    GF(p), and over Q mod the first word prime, the point's lower bound comes
+    first: when it reaches min(m, n) it is the rank, and
+    mul(x0) = N - 2 rank = mul.  Otherwise the X kernel, on the same cleared
+    entries."""
+    primes = _point_primes(A, method)
+    cleared = None
+    if primes:
+        cleared = _clear_ints(A.field, [e for r in A.rows for e in r])
+        mul = _point_charpoly(A, cleared[0], primes[0])[1].root0_mul()
+        if _rank_of(A.m + A.n, mul) == min(A.m, A.n):
             return RankReport(A, method, mul)
-    return RankReport(A, method, _x_charpoly(A, method)[0].root0_mul())
+    return RankReport(A, method, _x_charpoly(A, method, cleared)[0].root0_mul())
 
 
 def _rank_of(order, mul):
@@ -312,30 +345,73 @@ def solve(A, b, method="auto"):
 
 
 def _point_solve(A, bs):
-    """solve(A, b) for every b in bs over GF(p) at X = x0, or None when the
-    point does not apply (n > m, or _point_charpoly declines) or does not
-    certify that A has full column rank.
+    """solve(A, b) for every b in bs at X = x0, each answer checked
+    (_solves), or None when the point does not apply (n > m, or
+    _point_primes gives no prime), when its first prime does not certify
+    that A has full column rank, or, over Q, when no candidate passes the
+    check by the cap below.
 
-    N - mul(x0) = 2n proves rank(A) = n (_point_charpoly's lower bound).
-    Then mul(x0) = mul, the least nonzero coefficient tau = t_mul(x0) is
-    p~(0) at x0, and evaluating symm(A) v = p~(0) [b; 0] at x0 gives the
-    solution, unique since the columns are independent."""
+    Over GF(p), N - mul(x0) = 2n proves rank(A) = n (_point_charpoly's lower
+    bound).  Then mul(x0) = mul, the least nonzero coefficient tau = t_mul(x0)
+    is p~(0) at x0, and evaluating symm(A) v = p~(0) [b; 0] at x0 gives the
+    solution, unique since the columns are independent.
+
+    Over Q the same runs mod the word primes on A' = cA and b' = c_b b, the
+    cleared entries, and gives y mod p with A'y = b', so x = (c / c_b) y.
+    The first prime certifies rank(A) = n; a later one that does not is
+    skipped.  Garner's CRT joins the residues of each entry mod M, the
+    product of the certified primes, and rational reconstruction (_ratrecon)
+    gives a candidate, returned once it passes the check.
+
+    The cap.  If y exists it is unique, and for any n rows R with
+    det A'[R] != 0, Cramer's rule gives y_i = det A'_i[R] / det A'[R], where
+    A'_i is A' with column i replaced by b'.  Hadamard's inequality on columns
+    bounds |det A'[R]| by the product of the norms of the columns of A', and
+    |det A'_i[R]| by ||b'|| times the same product (every column is a nonzero
+    integer vector, of norm >= 1).  So H = max(1, ceil ||b'||) times the
+    product of the ceilings of the column norms bounds every numerator and
+    denominator of y.  The reduced denominator of y_i divides det A'[R] for
+    every such R, and a certified prime p leaves one such minor nonzero mod
+    p, so p does not divide it: y mod p is the unique solution mod p, the
+    one the point computes, and the CRT value is y mod M.  Once M > 2 H^2,
+    isqrt((M - 1) / 2) >= H, so _ratrecon returns y itself.  A candidate
+    that fails the check there proves that no solution exists, and the X
+    kernel gives that verdict."""
     field, m, n = A.field, A.m, A.n
-    point = _point_charpoly(A) if n <= m else None
-    if point is None:
+    primes = _point_primes(A, "auto") if n <= m else ()
+    if not primes:
         return None
-    C, ch = point
-    mul = ch.root0_mul()
-    if m + n - mul != 2 * n:
-        return None
-    t = ch.constant_first()
-    tau_inv = field.inv(t[mul])
-    xs = []
-    for b in bs:
+    ints, scale = _clear_ints(field, [e for r in A.rows for e in r])
+    rhs = [_clear_ints(field, b) for b in bs]
+    over_q = not isinstance(field, PrimeField)
+    if over_q:
+        H = max([1] + [_norm_ceil(b) for b, _ in rhs]) * prod(
+            _norm_ceil(ints[j::n]) for j in range(n))
+    M, ys = 1, [[0] * n for _ in bs]
+    for p in primes:
+        C, ch = _point_charpoly(A, ints, p)
+        F, mul = ch.field, ch.root0_mul()
+        if m + n - mul != 2 * n:
+            if M == 1:
+                return None
+            continue  # a bad prime: the first one certified rank(A) = n
+        t = ch.constant_first()
+        tau_inv = F.inv(t[mul])
         # S u = sum_{j>=1} t_{j+mul} C^(j-1) u, so v = -S u
-        Su = _point_horner(C, t[mul + 1:], _clear_ints(field, b)[0], field.p)
-        xs.append([field.mul(field.from_int(-v), tau_inv) for v in Su[m:]])
-    return xs
+        res = [[F.mul(F.from_int(-v), tau_inv) for v in _point_horner(C, t[mul + 1:], b, p)[m:]]
+               for b, _ in rhs]
+        if not over_q:
+            return res if _solves(A, bs, res) else None
+        ys = [[_crt(r, M, a, p) for r, a in zip(y, z)] for y, z in zip(ys, res)]
+        M *= p
+        xs = [[_ratrecon(r, M) for r in y] for y in ys]
+        if all(None not in x for x in xs):
+            xs = [[Fraction(scale, b_scale) * v for v in x] for x, (_, b_scale) in zip(xs, rhs)]
+            if _solves(A, bs, xs):
+                return xs
+        if M > 2 * H * H:
+            return None
+    return None
 
 
 def _solves(A, bs, xs):
@@ -346,14 +422,14 @@ def _solves(A, bs, xs):
 def _solve_columns(A, bs, method):
     """solve(A, b) for every b in bs: one characteristic polynomial of
     polize(A), then one Horner and one contract check per b.  Over GF(p)
-    with enough points, one scalar characteristic polynomial at X = x0
-    (_point_solve) comes first; when it does not certify full column rank,
-    or its answers fail the contract check, the X kernel runs as before."""
+    and Q, the point (_point_solve) comes first: scalar characteristic
+    polynomials at X = x0, mod p or mod word primes, whose answers it has
+    checked already.  When it declines, the X kernel runs as before."""
     field = A.field
     m, n = A.m, A.n
     if _use_fast(field, method):
         xs = _point_solve(A, bs)
-        if xs is not None and _solves(A, bs, xs):
+        if xs is not None:
             return xs
         num, B, scale = _sym_parts(field, A, bs)
         ch = _fast_charpoly(num, B)

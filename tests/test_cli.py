@@ -141,10 +141,23 @@ def test_exit_code_checked_failure(tmp_path, capsys):
 
 def test_exit_code_corrupt_kernel(tmp_path, capsys, monkeypatch):
     # a charpoly whose root-0 multiplicity leaves an odd rank numerator is a
-    # failed certificate (exit 1), not malformed input (exit 2)
+    # failed certificate (exit 1), not malformed input (exit 2); x0 = 0
+    # never certifies, so the X kernel answers
     kernel = importlib.import_module("exactla.rank")  # the package re-exports rank()
+    monkeypatch.setattr(importlib.import_module("exactla._numeric"), "_X0", 0)
     monkeypatch.setattr(kernel, "_fast_charpoly", lambda num, B: CharPoly(
         num, [(0, np.ones(1, dtype=num.dtype))] * B.shape[0] + [None], B.shape[0]))
+    A = _write(tmp_path, "A.txt", "1 1\n1\n")
+    assert run(["rank", A]) == 1
+    err = capsys.readouterr().err
+    assert "CertificateFailed" in err and "odd rank numerator" in err
+
+
+def test_exit_code_corrupt_point_charpoly(tmp_path, capsys, monkeypatch):
+    # the point's scalar charpoly Y^2 + Y leaves an odd rank numerator too:
+    # the charpoly of a bipartite C(x0) is Y^|m-n| g(Y^2)
+    kernel = importlib.import_module("exactla.rank")
+    monkeypatch.setattr(kernel, "_berkowitz_mod_p", lambda C, p: [1, 1, 0])
     A = _write(tmp_path, "A.txt", "1 1\n1\n")
     assert run(["rank", A]) == 1
     err = capsys.readouterr().err

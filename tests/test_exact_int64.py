@@ -1,6 +1,11 @@
 """The rank kernel over Q in Z/2^64: where _hadamard_bound puts the line
 between int64 and object arrays, and that either side reads back exactly
-what the generic path computes, coefficient for coefficient."""
+what the generic path computes, coefficient for coefficient.
+
+Full-column-rank solves over Q are answered at a point mod word primes
+first, so the solve tests here set x0 = 0, where the point never certifies,
+and count the X kernel's Horner calls; test_point_solve_reads_the_same_answers
+holds the point to the same answers."""
 
 import importlib
 import os
@@ -12,9 +17,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from exactla import oracles
 from exactla.charpoly import charpoly
 from exactla.field import QQ
-from exactla.matrix import Matrix
+from exactla.matrix import Matrix, mat_vec
 from exactla.poly import PolynomialRing
 from exactla.rank import mulmuley_rank, polize, solve
 
@@ -30,6 +36,17 @@ def _sylvester(k):
     for _ in range(k):
         H = [r + r for r in H] + [r + [-x for x in r] for r in H]
     return H
+
+
+@pytest.fixture
+def horners(monkeypatch):
+    """The X kernel's Horner calls, with x0 = 0: C(0) is nilpotent, so the
+    point never certifies and every fast solve is read back from the X kernel."""
+    calls = []
+    horner = kernel._horner
+    monkeypatch.setattr(kernel, "_horner", lambda *args: calls.append(1) or horner(*args))
+    monkeypatch.setattr(numeric, "_X0", 0)
+    return calls
 
 
 def _dtype(A, rhs=()):
@@ -73,7 +90,7 @@ def test_one_by_one_wraps_past_the_bound():
     (2 ** 63 - 1, np.int64), (-(2 ** 63 - 1), np.int64),
     (2 ** 63, object), (-(2 ** 63), object),
 ])
-def test_solve_bound_counts_the_right_hand_side(c, dtype):
+def test_solve_bound_counts_the_right_hand_side(horners, c, dtype):
     # A = [[1]]: T = 2, and with row 0 removed max_k e_k = 1, so the bound
     # is max(2, |c|); the answer x = c is read back from the kernel itself
     A = Matrix(QQ, [[Fraction(1)]])
@@ -82,23 +99,26 @@ def test_solve_bound_counts_the_right_hand_side(c, dtype):
     assert _dtype(A, [b]) == dtype
     _same_as_generic(A, [b])
     assert solve(A, b) == [c]
+    assert horners == [1, 1]
 
 
-def test_solve_bound_takes_the_largest_right_hand_side():
+def test_solve_bound_takes_the_largest_right_hand_side(horners):
     A = Matrix(QQ, [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
     small, large = [Fraction(1), Fraction(-1)], [Fraction(2 ** 62), Fraction(-(2 ** 62))]
     assert _dtype(A, [small]) == np.int64
     assert _dtype(A, [small, large]) == object
     assert kernel._solve_columns(A, [small, large], "fast") == [small, large]
+    assert horners == [1, 1]
 
 
-def test_entries_with_denominators():
+def test_entries_with_denominators(horners):
     A = Matrix(QQ, [[Fraction(1, 2), Fraction(-2, 3), Fraction(0)],
                     [Fraction(5, 7), Fraction(1, 3), Fraction(-3, 4)]])
     assert numeric._sym_parts(QQ, A)[2] == 84
     b = [Fraction(1, 5), Fraction(-7, 2)]
     assert _dtype(A, [b]) == np.int64
     _same_as_generic(A, [b])
+    assert horners == [1]
     # the scale is cleared before the bound: a / 2 reads as a
     for a, dtype in ((ROOT_2_63, np.int64), (ROOT_2_63 + 2, object)):
         A = Matrix(QQ, [[Fraction(-a, 2)]])
@@ -112,7 +132,7 @@ def _ints(ch):
 
 
 @pytest.mark.parametrize("k", [2, 3])
-def test_sylvester_hadamard_matrices(k):
+def test_sylvester_hadamard_matrices(horners, k):
     # rows of norm sqrt(n) with |det H| = n^(n/2): Hadamard's bound is attained
     H = _sylvester(k)
     n = len(H)
@@ -132,6 +152,7 @@ def test_sylvester_hadamard_matrices(k):
     off, arr = ch.coeff_of(0)  # det(polize(A)) = X^(N(N-1)/2) det(H)^2
     assert (off, [int(c) for c in arr]) == ((2 * n) * (2 * n - 1) // 2, [n ** n])
     assert solve(A, b) == [Fraction(j + 1) for j in range(n)]
+    assert horners == ([1, 1] if k == 2 else [1])
 
 
 @pytest.mark.parametrize("c, dtype", [(117, np.int64), (118, object)])
@@ -145,6 +166,29 @@ def test_scaled_hadamard_attains_the_bound_next_to_2_63(c, dtype):
     assert [int(x) for x in ch.coeff_of(0)[1]] == [(2 * c) ** 8]
     want = charpoly(polize(A, PolynomialRing(QQ)))
     assert repr(ch) == repr(want)
+
+
+POINT_CASES = [  # (A, x): A x is the right-hand side, None for x_j = j + 1
+    ([[1]], [2 ** 63 - 1]), ([[1]], [-(2 ** 63 - 1)]), ([[1]], [2 ** 63]), ([[1]], [-(2 ** 63)]),
+    ([[1, 0], [0, 1]], [2 ** 62, -(2 ** 62)]),
+    ([[Fraction(1, 2), Fraction(-2, 3)], [Fraction(5, 7), Fraction(1, 3)],
+      [Fraction(0), Fraction(-3, 4)]], [Fraction(1, 5), Fraction(-7, 2)]),
+    (_sylvester(2), None), (_sylvester(3), None),
+    ([[117 * x for x in r] for r in _sylvester(2)], [Fraction(1, 117), 2, 3, 4]),
+    ([[118 * x for x in r] for r in _sylvester(2)], None),
+]
+
+
+@pytest.mark.parametrize("rows, x", POINT_CASES)
+def test_point_solve_reads_the_same_answers(monkeypatch, rows, x):
+    # the boundary inputs above, answered mod word primes: the X kernel's
+    # Horner never runs, and the answer is the unique solution
+    calls = []
+    monkeypatch.setattr(kernel, "_horner", lambda *args: calls.append(1))
+    A = Matrix(QQ, [[Fraction(a) for a in r] for r in rows])
+    x = [Fraction(v) for v in x or range(1, A.n + 1)]
+    assert solve(A, mat_vec(A, x)) == x == oracles.gauss_solve(A, mat_vec(A, x))
+    assert calls == []
 
 
 def test_kernel_arrays_are_signed():

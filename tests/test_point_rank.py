@@ -104,7 +104,7 @@ def test_nilpotent_point_falls_back(monkeypatch, runs):
     assert runs == {"x": [], "scalar": [GFP.p]}
     runs["scalar"].clear()
     monkeypatch.setattr(numeric, "_X0", 0)
-    C, ch = rank_mod._point_charpoly(A)
+    C, ch = rank_mod._point_charpoly(A, [e for r in A.rows for e in r], GFP.p)
     assert ch.root0_mul() == 12
     rep = mulmuley_rank(A)
     assert (rep.rank, rep.mul) == (want.rank, want.mul) == (5, 2)

@@ -85,16 +85,18 @@ def test_nilpotent_point_falls_back(monkeypatch, x_kernel_runs):
 
 
 def test_unsolvable_full_column_rank_exits_1(tmp_path, capsys, monkeypatch, x_kernel_runs):
-    # the point certifies rank 2, its answer fails the check, and the X
-    # kernel's verdict is the command's
-    certified = []
-    point = rank_mod._point_solve
+    # the point certifies rank 2 and runs its Horner, its answer fails the
+    # check inside _point_solve, and the X kernel's verdict is the command's
+    certified, horners = [], []
+    point, horner = rank_mod._point_solve, rank_mod._point_horner
 
     def spied(A, bs):
         certified.append(point(A, bs))
         return certified[-1]
 
     monkeypatch.setattr(rank_mod, "_point_solve", spied)
+    monkeypatch.setattr(rank_mod, "_point_horner",
+                        lambda *args: horners.append(1) or horner(*args))
     A = tmp_path / "A.txt"
     A.write_text("3 2\n1 0\n0 1\n1 1\n")
     b = tmp_path / "b.txt"
@@ -102,7 +104,7 @@ def test_unsolvable_full_column_rank_exits_1(tmp_path, capsys, monkeypatch, x_ke
     assert run(["solve", "--field", "GF1000003", str(A), str(b)]) == 1
     assert capsys.readouterr().err == (
         "failed: Unsolvable: no solution exists for this right-hand side\n")
-    assert len(certified) == 1 and certified[0] is not None
+    assert certified == [None] and horners == [1]
     assert x_kernel_runs == [5]
 
 

@@ -367,9 +367,16 @@ def test_greedy_basis_factorization():
                            for _ in range(n)] for _ in range(m)]), ("auto",))
 
 
-def test_greedy_basis_coefficients_take_one_charpoly(monkeypatch):
-    # one pass selects, one charpoly of the selected columns solves every
-    # unselected column
+GREEDY_A = [[1, 0, 0, 0, 1, 0, 1],
+            [0, 1, 0, 0, 1, 0, 0],
+            [0, 0, 1, 0, 0, 2, 0],
+            [0, 0, 0, 1, 0, -1, 1],
+            [1, 1, 1, 1, 2, 1, 2]]
+
+
+@pytest.fixture
+def x_passes(monkeypatch):
+    """Orders of the X kernel's Berkowitz passes."""
     kernel = importlib.import_module("exactla.rank")
     passes = []
     trailing = kernel._fast_trailing_charpolys
@@ -379,14 +386,33 @@ def test_greedy_basis_coefficients_take_one_charpoly(monkeypatch):
         return trailing(num, B)
 
     monkeypatch.setattr(kernel, "_fast_trailing_charpolys", counted)
-    A = M([[1, 0, 0, 0, 1, 0, 1],
-           [0, 1, 0, 0, 1, 0, 0],
-           [0, 0, 1, 0, 0, 2, 0],
-           [0, 0, 0, 1, 0, -1, 1],
-           [1, 1, 1, 1, 2, 1, 2]])
+    return passes
+
+
+def test_greedy_basis_coefficients_take_one_charpoly(monkeypatch, x_passes):
+    # one pass selects, one charpoly of the selected columns solves every
+    # unselected column; x0 = 0 never certifies, so the X kernel solves
+    monkeypatch.setattr(importlib.import_module("exactla._numeric"), "_X0", 0)
+    A = M(GREEDY_A)
     sel = greedy_basis(A)
     assert sel.indices() == [1, 2, 3, 4]
-    assert passes == [5 + 7, 5 + 4]
+    assert x_passes == [5 + 7, 5 + 4]
+    assert sel.basis @ sel.coeffs == A
+
+
+def test_greedy_basis_coefficients_at_the_point(monkeypatch, x_passes):
+    # the coefficients are integers: one scalar charpoly mod the first word
+    # prime solves every unselected column, and no X-kernel pass does
+    kernel = importlib.import_module("exactla.rank")
+    scalar = []
+    berkowitz = kernel._berkowitz_mod_p
+    monkeypatch.setattr(kernel, "_berkowitz_mod_p",
+                        lambda C, p: scalar.append(p) or berkowitz(C, p))
+    A = M(GREEDY_A)
+    sel = greedy_basis(A)
+    assert sel.indices() == [1, 2, 3, 4]
+    assert x_passes == [5 + 7]
+    assert scalar == [kernel._PRIMES[0]]
     assert sel.basis @ sel.coeffs == A
 
 
@@ -480,17 +506,39 @@ def test_kernel_vectors_are_basis_coordinates():
     check(Matrix.zeros(fx, 2, 2), ("auto",))
 
 
-def test_kernel_checks_its_coefficients(tmp_path, capsys, monkeypatch):
-    # kernel vectors come out of checked solves: a corrupt charpoly fails
-    # the command (exit 1) instead of printing unchecked vectors
-    from exactla.cli import run
+def _corrupt_x_kernel(monkeypatch):
     kernel = importlib.import_module("exactla.rank")
     monkeypatch.setattr(kernel, "_fast_charpoly", lambda num, B: CharPoly(
         num, [(0, np.ones(1, dtype=num.dtype))] * B.shape[0] + [None], B.shape[0]))
+
+
+def test_kernel_checks_its_coefficients(tmp_path, capsys, monkeypatch):
+    # kernel vectors come out of checked solves: a corrupt charpoly fails
+    # the command (exit 1) instead of printing unchecked vectors; x0 = 0
+    # never certifies, so the X kernel solves
+    from exactla.cli import run
+    monkeypatch.setattr(importlib.import_module("exactla._numeric"), "_X0", 0)
+    _corrupt_x_kernel(monkeypatch)
     path = tmp_path / "A.txt"
     path.write_text("1 2\n1 1\n")
     assert run(["kernel", str(path)]) == 1
     assert "CertificateFailed" in capsys.readouterr().err
+
+
+def test_kernel_checks_its_point_coefficients(tmp_path, capsys, monkeypatch):
+    # a corrupt reconstruction fails its check at the point, past the prime
+    # cap, and the solve goes to the X kernel, corrupt too: exit 1
+    from exactla.cli import run
+    kernel = importlib.import_module("exactla.rank")
+    recons = []
+    monkeypatch.setattr(kernel, "_ratrecon",
+                        lambda u, M: recons.append(M) or Fraction(u % M + 1))
+    _corrupt_x_kernel(monkeypatch)
+    path = tmp_path / "A.txt"
+    path.write_text("1 2\n1 1\n")
+    assert run(["kernel", str(path)]) == 1
+    assert "CertificateFailed" in capsys.readouterr().err
+    assert recons == [kernel._PRIMES[0]]  # H = 1: one prime passes 2 H^2
 
 
 def test_kernel_spans_oracle_kernel():
